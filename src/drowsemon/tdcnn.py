@@ -9,6 +9,15 @@ validated against central finite differences in the test suite.
 Normalization standardizes each time step across channels (learned
 per-channel scale and shift), which keeps every activation at time t a
 function of inputs at times <= t, so the stack stays causal end to end.
+
+Every channel contraction (the convolution taps, the 1->channels residual
+projection and their gradients) is a BLAS product through ``np.matmul`` or
+``np.tensordot``. In the forward pass each product runs once per batch row
+on that row alone, so a row's output does not depend on the rows batched
+with it. Inference (``predict_wakeful_scores``, ``assess``,
+``assess_window``) runs that one forward pass over blocks of at most
+``_INFER_ROWS`` rows, which bounds the activations held at once whatever the
+number of rows scored.
 """
 
 from __future__ import annotations
@@ -51,6 +60,10 @@ _ADAM_EPS = 1e-8
 _LOG_FLOOR = 1e-300
 _ALLOWED_DILATIONS = (2, 4, 8, 16)
 _DEFAULT_SCHEDULE = (2, 4, 8, 16) * 3
+# Rows per inference forward pass: at the default architecture a block of 32
+# 33-long rows holds under 2 MB of activations, and a whole validation set in
+# one pass would hold them for every row at once.
+_INFER_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -213,33 +226,46 @@ def receptive_field(arch: ArchSpec) -> int:
     return 1 + sum((arch.kernel_size - 1) * d for d in arch.dilation_schedule)
 
 
-def _causal_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, dilation: int) -> tuple[np.ndarray, np.ndarray]:
-    """Left-padded dilated convolution; returns (output, padded input)."""
-    batch, _, t = x.shape
-    c_out, _, k = w.shape
-    pad = (k - 1) * dilation
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, 0)))
-    y = np.broadcast_to(b[None, :, None], (batch, c_out, t)).copy()
-    for j in range(k):
-        y += np.einsum("oi,bit->bot", w[:, :, j], xp[:, :, j * dilation : j * dilation + t])
-    return y, xp
+def _tap_lags(kernel_size: int, dilation: int, t: int) -> list[tuple[int, int]]:
+    """(tap, lag) pairs of the taps that reach the input, lag-0 tap first.
+
+    Tap j looks ``(kernel_size - 1 - j) * dilation`` steps back; a tap that
+    looks back ``t`` or more steps reads only the zeros before time 0.
+    """
+    lags = [(j, (kernel_size - 1 - j) * dilation) for j in reversed(range(kernel_size))]
+    return [(j, lag) for j, lag in lags if lag < t]
+
+
+def _causal_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, dilation: int) -> np.ndarray:
+    """Causal dilated convolution of (batch, in, time) input.
+
+    ``y[:, :, t] = b + sum_j w[:, :, j] @ x[:, :, t - lag_j]`` with
+    ``lag_j = (k - 1 - j) * dilation`` and x read as zero before time 0 (the
+    left zero padding of a causal convolution). Each tap is one
+    (out, in) @ (in, time) matmul per batch row over the time steps it
+    reaches, added into the output shifted by its lag; neither a padded nor a
+    k-fold shifted copy of the input is built.
+    """
+    t = x.shape[2]
+    (j0, _), *taps = _tap_lags(w.shape[2], dilation, t)
+    y = b[:, None] + np.matmul(w[:, :, j0], x)
+    for j, lag in taps:
+        y[:, :, lag:] += np.matmul(w[:, :, j], x[:, :, : t - lag])
+    return y
 
 
 def _causal_conv_backward(
-    dy: np.ndarray, xp: np.ndarray, w: np.ndarray, dilation: int
+    dy: np.ndarray, x: np.ndarray, w: np.ndarray, dilation: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (dx, dw, db) of the causal dilated convolution."""
     t = dy.shape[2]
-    k = w.shape[2]
-    pad = (k - 1) * dilation
+    dx = np.zeros_like(x)
     dw = np.zeros_like(w)
-    dxp = np.zeros_like(xp)
-    for j in range(k):
-        sl = slice(j * dilation, j * dilation + t)
-        dw[:, :, j] = np.einsum("bot,bit->oi", dy, xp[:, :, sl])
-        dxp[:, :, sl] += np.einsum("oi,bot->bit", w[:, :, j], dy)
+    for j, lag in _tap_lags(w.shape[2], dilation, t):
+        dx[:, :, : t - lag] += np.matmul(w[:, :, j].T, dy[:, :, lag:])
+        dw[:, :, j] = np.tensordot(dy[:, :, lag:], x[:, :, : t - lag], axes=([0, 2], [0, 2]))
     db = dy.sum(axis=(0, 2))
-    return dxp[:, :, pad:], dw, db
+    return dx, dw, db
 
 
 def _norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -277,14 +303,18 @@ def _forward_batch(
     rng: np.random.Generator | None = None,
     keep_cache: bool = False,
 ):
-    """Run the stack on (batch, 1, time) input; optionally keep per-block caches."""
+    """Run the stack on (batch, 1, time) input; optionally keep per-block caches.
+
+    With ``keep_cache`` it returns ``(probs, pooled, caches, h)``: each block's
+    cache starts with that block's input, and ``h`` is the last block's output.
+    """
     arch = model.arch
     p = arch.dropout_rate
     h = x
     caches = []
     for blk, dilation in zip(model.blocks, arch.dilation_schedule):
         inp = h
-        conv, xp = _causal_conv(inp, blk.conv_w, blk.conv_b, dilation)
+        conv = _causal_conv(inp, blk.conv_w, blk.conv_b, dilation)
         norm, xhat, s = _norm_forward(conv, blk.gamma, blk.beta)
         act = np.maximum(norm, 0.0)
         mask = None
@@ -297,16 +327,29 @@ def _forward_batch(
         if blk.proj_w is None:
             res = inp
         else:
-            res = np.einsum("oi,bit->bot", blk.proj_w, inp)
+            res = np.matmul(blk.proj_w, inp)
         h = branch + res
         if keep_cache:
-            caches.append((inp, xp, norm, xhat, s, mask))
+            caches.append((inp, norm, xhat, s, mask))
     pooled = h.mean(axis=2)
-    logits = pooled @ model.head_w.T + model.head_b[None, :]
+    # one (1, channels) @ (channels, classes) product per row: ``pooled @
+    # head_w.T`` lets BLAS pick its kernel by batch size, and a row's scores
+    # would then depend on how many rows share its forward pass
+    logits = np.matmul(pooled[:, None, :], model.head_w.T)[:, 0, :] + model.head_b
     probs = _softmax_rows(logits)
     if keep_cache:
-        return probs, pooled, caches, h.shape[2]
+        return probs, pooled, caches, h
     return probs
+
+
+def _pattern_rows(patterns: list[PatternSignal]) -> np.ndarray:
+    """Stack pattern values into a (rows, time) array."""
+    lengths = {np.asarray(p.values).size for p in patterns}
+    if len(lengths) != 1:
+        raise ValueError("all patterns in a batch must share one length")
+    if 0 in lengths:
+        raise ValueError("pattern must contain at least one value")
+    return np.stack([np.asarray(p.values, dtype=np.float64) for p in patterns])
 
 
 def forward(
@@ -317,29 +360,17 @@ def forward(
     With ``train_mode`` on, spatial dropout masks are drawn from ``seed``,
     so repeated calls with the same seed agree bitwise.
     """
-    values = np.asarray(pattern.values, dtype=np.float64)
-    if values.size < 1:
-        raise ValueError("pattern must contain at least one value")
     rng = np.random.default_rng(seed) if train_mode else None
-    probs = _forward_batch(model, values[None, None, :], train_mode=train_mode, rng=rng)
+    probs = _forward_batch(model, _pattern_rows([pattern])[:, None, :], train_mode=train_mode, rng=rng)
     return probs[0]
 
 
 def block_activations(model: TdcnnModel, pattern: PatternSignal) -> list[np.ndarray]:
     """Pre-pooling output of every block (eval mode), each (channels, time)."""
-    values = np.asarray(pattern.values, dtype=np.float64)
-    if values.size < 1:
-        raise ValueError("pattern must contain at least one value")
-    h = values[None, None, :]
-    outs = []
-    for blk, dilation in zip(model.blocks, model.arch.dilation_schedule):
-        conv, _ = _causal_conv(h, blk.conv_w, blk.conv_b, dilation)
-        norm, _, _ = _norm_forward(conv, blk.gamma, blk.beta)
-        act = np.maximum(norm, 0.0)
-        res = h if blk.proj_w is None else np.einsum("oi,bit->bot", blk.proj_w, h)
-        h = act + res
-        outs.append(h[0].copy())
-    return outs
+    _, _, caches, h = _forward_batch(model, _pattern_rows([pattern])[:, None, :], keep_cache=True)
+    # a block's output is the next block's input
+    outs = [cache[0] for cache in caches[1:]] + [h]
+    return [out[0] for out in outs]
 
 
 def _loss_and_grad_arrays(
@@ -350,7 +381,7 @@ def _loss_and_grad_arrays(
     seed: int = 0,
 ) -> tuple[float, TdcnnModel]:
     rng = np.random.default_rng(seed) if train_mode else None
-    probs, pooled, caches, t_len = _forward_batch(
+    probs, pooled, caches, h = _forward_batch(
         model, x, train_mode=train_mode, rng=rng, keep_cache=True
     )
     batch = x.shape[0]
@@ -365,6 +396,7 @@ def _loss_and_grad_arrays(
     grads.head_w += dlogits.T @ pooled
     grads.head_b += dlogits.sum(axis=0)
     dpooled = dlogits @ model.head_w
+    t_len = h.shape[2]
     dh = np.repeat(dpooled[:, :, None], t_len, axis=2) / t_len
 
     for blk, gblk, dilation, cache in zip(
@@ -373,19 +405,19 @@ def _loss_and_grad_arrays(
         reversed(model.arch.dilation_schedule),
         reversed(caches),
     ):
-        inp, xp, norm, xhat, s, mask = cache
+        inp, norm, xhat, s, mask = cache
         d_out = dh
         if blk.proj_w is None:
             d_inp_res = d_out
         else:
-            gblk.proj_w += np.einsum("bot,bit->oi", d_out, inp)
-            d_inp_res = np.einsum("oi,bot->bit", blk.proj_w, d_out)
+            gblk.proj_w += np.tensordot(d_out, inp, axes=([0, 2], [0, 2]))
+            d_inp_res = np.matmul(blk.proj_w.T, d_out)
         d_branch = d_out if mask is None else d_out * mask[:, :, None]
         d_norm = d_branch * (norm > 0)
         d_conv, dgamma, dbeta = _norm_backward(d_norm, xhat, s, blk.gamma)
         gblk.gamma += dgamma
         gblk.beta += dbeta
-        d_inp_conv, dw, db = _causal_conv_backward(d_conv, xp, blk.conv_w, dilation)
+        d_inp_conv, dw, db = _causal_conv_backward(d_conv, inp, blk.conv_w, dilation)
         gblk.conv_w += dw
         gblk.conv_b += db
         dh = d_inp_conv + d_inp_res
@@ -396,14 +428,11 @@ def _loss_and_grad_arrays(
 def _batch_to_arrays(batch: list[tuple[PatternSignal, Label]]) -> tuple[np.ndarray, np.ndarray]:
     if not batch:
         raise ValueError("batch must not be empty")
-    lengths = {np.asarray(p.values).size for p, _ in batch}
-    if len(lengths) != 1:
-        raise ValueError("all patterns in a batch must share one length")
+    x = _pattern_rows([p for p, _ in batch])[:, None, :]
     try:
         y = np.array([LABEL_INDEX[label] for _, label in batch], dtype=np.int64)
     except KeyError as exc:
         raise ValueError(f"unknown class label: {exc.args[0]!r}") from exc
-    x = np.stack([np.asarray(p.values, dtype=np.float64) for p, _ in batch])[:, None, :]
     return x, y
 
 
@@ -449,11 +478,6 @@ def _adam_step(
         m_hat = mp / (1 - hp.beta1**t)
         v_hat = vp / (1 - hp.beta2**t)
         p -= hp.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-
-
-def _scores_tdcnn(model: TdcnnModel, values: np.ndarray) -> np.ndarray:
-    probs = _forward_batch(model, values[:, None, :])
-    return probs[:, LABEL_INDEX[Label.WAKEFUL]]
 
 
 def _accuracy_from_scores(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -504,7 +528,7 @@ def train(
             t_step += 1
             _adam_step(work_arrays, model_arrays(grads), m_arrays, v_arrays, t_step, params)
             losses.append(loss)
-        val_acc = _accuracy_from_scores(_scores_tdcnn(work, x_val), y_val)
+        val_acc = _accuracy_from_scores(predict_wakeful_scores(work, x_val), y_val)
         history.append((epoch, float(np.mean(losses)), val_acc))
         if val_acc > best_acc:
             best_acc = val_acc
@@ -514,18 +538,17 @@ def train(
 
 def assess(model: TdcnnModel, pattern: PatternSignal) -> Assessment:
     """Map the wakefulness probability onto the binary decision rule."""
-    probs = forward(model, pattern)
-    score = float(probs[LABEL_INDEX[Label.WAKEFUL]])
-    label = Label.DROWSY if score <= 0.5 else Label.WAKEFUL
-    return Assessment(score=score, label=label)
+    return assess_window(model, [pattern])
 
 
 def assess_window(model: TdcnnModel, patterns: list[PatternSignal]) -> Assessment:
-    """Average the per-pattern scores of a window, then apply the same rule."""
+    """Average the per-pattern scores of a window, then apply the same rule.
+
+    All patterns of the window go through one row-blocked inference call.
+    """
     if not patterns:
         raise ValueError("assess_window needs at least one pattern")
-    scores = [float(forward(model, p)[LABEL_INDEX[Label.WAKEFUL]]) for p in patterns]
-    score = float(np.mean(scores))
+    score = float(np.mean(predict_wakeful_scores(model, _pattern_rows(patterns))))
     label = Label.DROWSY if score <= 0.5 else Label.WAKEFUL
     return Assessment(score=score, label=label)
 
@@ -624,10 +647,19 @@ def train_baseline_mlp(
 
 
 def predict_wakeful_scores(model, values: np.ndarray) -> np.ndarray:
-    """Wakefulness probability per row for either classifier kind."""
+    """Wakefulness probability per row for either classifier kind.
+
+    The TDCNN scores rows in blocks of ``_INFER_ROWS``; a row's score is
+    bitwise the same whatever block it falls in.
+    """
     values = np.asarray(values, dtype=np.float64)
+    wakeful = LABEL_INDEX[Label.WAKEFUL]
     if isinstance(model, MlpModel):
-        return _mlp_probs(model, values)[:, LABEL_INDEX[Label.WAKEFUL]]
+        return _mlp_probs(model, values)[:, wakeful]
     if isinstance(model, TdcnnModel):
-        return _scores_tdcnn(model, values)
+        scores = np.empty(values.shape[0])
+        for start in range(0, values.shape[0], _INFER_ROWS):
+            block = values[start : start + _INFER_ROWS]
+            scores[start : start + block.shape[0]] = _forward_batch(model, block[:, None, :])[:, wakeful]
+        return scores
     raise TypeError(f"unsupported model type: {type(model).__name__}")

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from drowsemon.filterbank import PatternDataset, PatternSignal
-from drowsemon.signal_gen import Label
+from drowsemon.signal_gen import LABEL_INDEX, Label
 from drowsemon.tdcnn import (
+    _INFER_ROWS,
     ArchSpec,
     Assessment,
     MlpModel,
@@ -29,6 +30,13 @@ from drowsemon.tdcnn import (
 )
 
 TINY_ARCH = ArchSpec(n_blocks=2, kernel_size=3, channels=4, dilation_schedule=(2, 4), dropout_rate=0.25)
+# The default pipeline's channel count and two of its dilations on its
+# 33-long patterns: the oldest tap of the dilation-16 block looks back 32
+# steps and reaches a single input sample, and the first block carries the
+# 1 -> 16 residual projection.
+BENCH_SHAPE_ARCH = ArchSpec(
+    n_blocks=2, kernel_size=3, channels=16, dilation_schedule=(8, 16), dropout_rate=0.25
+)
 
 
 def tiny_batch(seed=0, batch=3, length=12):
@@ -184,13 +192,20 @@ class TestLossAndGrad:
         loss, _ = loss_and_grad(model, batch)
         assert loss <= 1e-6
 
-    def test_gradients_match_finite_differences(self):
-        model = init_model(TINY_ARCH, seed=4)
-        batch = tiny_batch(seed=1)
+    @staticmethod
+    def assert_gradients_match(arch, length):
+        model = init_model(arch, seed=4)
+        batch = tiny_batch(seed=1, length=length)
         for train_mode in (False, True):
             _, grads = loss_and_grad(model, batch, train_mode=train_mode, seed=3)
             numeric = finite_difference_grads(model, batch, train_mode, seed=3)
             assert max_relative_error(model_arrays(grads), numeric) <= 1e-4
+
+    def test_gradients_match_finite_differences(self):
+        self.assert_gradients_match(TINY_ARCH, length=12)
+
+    def test_gradients_match_finite_differences_at_benchmark_shape(self):
+        self.assert_gradients_match(BENCH_SHAPE_ARCH, length=33)
 
     def test_gradient_shapes_mirror_model(self):
         model = init_model(TINY_ARCH, seed=4)
@@ -357,6 +372,28 @@ class TestAssessWindow:
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             assess_window(init_model(TINY_ARCH, seed=0), [])
+
+    def test_mixed_lengths_rejected(self):
+        patterns = [PatternSignal(np.ones(8)), PatternSignal(np.ones(9))]
+        with pytest.raises(ValueError, match="length"):
+            assess_window(init_model(TINY_ARCH, seed=0), patterns)
+
+    def test_window_score_is_mean_of_predicted_scores(self):
+        model = init_model(ArchSpec(), seed=5)
+        values = np.random.default_rng(2).normal(size=(_INFER_ROWS + 9, 33))
+        verdict = assess_window(model, [PatternSignal(v) for v in values])
+        assert abs(verdict.score - float(np.mean(predict_wakeful_scores(model, values)))) <= 1e-12
+        assert verdict.label is (Label.DROWSY if verdict.score <= 0.5 else Label.WAKEFUL)
+
+
+class TestRowBlockedInference:
+    # one row, and two full blocks plus a partial one
+    @pytest.mark.parametrize("rows", [1, 2 * _INFER_ROWS + 5])
+    def test_scores_equal_per_row_forward_bitwise(self, rows):
+        model = init_model(ArchSpec(), seed=3)
+        values = np.random.default_rng(rows).normal(size=(rows, 33))
+        per_row = [forward(model, PatternSignal(v))[LABEL_INDEX[Label.WAKEFUL]] for v in values]
+        assert np.array_equal(predict_wakeful_scores(model, values), per_row)
 
 
 class TestMlpBaseline:
