@@ -16,23 +16,24 @@ from pathlib import Path
 import numpy as np
 
 from . import persist
-from .band_search import RlParams, SearchSpace, q_learn
-from .filterbank import HyperFilterConfig, PatternDataset, hyper_filter, pattern_signals
+from .filterbank import HyperFilterConfig, hyper_filter, pattern_signals
 from .pipeline import (
     DEFAULT_LAYERS,
+    ArtifactWriter,
     PipelineConfig,
     PipelineError,
-    build_dataset,
     config_from_dict,
+    dataset_stage,
     default_config,
-    derive_seed,
     eval_report,
     generate_signals,
     run_pipeline,
+    search_stage,
+    synth_stage,
+    train_stage,
 )
-from .plots import svg_line_chart, write_series_csv
 from .signal_gen import PpgSignal
-from .tdcnn import assess_window, init_model, split_indices, train
+from .tdcnn import assess_window
 from .vision import (
     cc_attention,
     filter_salient,
@@ -71,20 +72,17 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _require_signals(config: PipelineConfig) -> None:
+    if config.generation.n_per_class == 0:
+        raise ValueError("config generates zero signals (n_per_class=0)")
+
+
 def _cmd_synth(args) -> int:
     config = _load_config(args)
-    signals = generate_signals(config)
-    if not signals:
-        raise ValueError("config generates zero signals (n_per_class=0)")
-    out = Path(config.out_dir)
-    (out / "signals").mkdir(parents=True, exist_ok=True)
-    files = []
-    for i, sig in enumerate(signals):
-        rel = f"signals/{sig.label.value.lower()}_{i:03d}.csv"
-        persist.save_signal_csv(out / rel, sig)
-        files.append(rel)
-    persist.dump_json(out / "signals" / "index.json", {"n_signals": len(files), "files": files})
-    print(json.dumps({"n_signals": len(files), "out_dir": str(out)}, sort_keys=True))
+    _require_signals(config)
+    emit = ArtifactWriter(config.out_dir)
+    signals = synth_stage(config, emit)
+    print(json.dumps({"n_signals": len(signals), "out_dir": str(emit.out)}, sort_keys=True))
     return 0
 
 
@@ -115,63 +113,20 @@ def _cmd_filter(args) -> int:
 
 def _cmd_search_bands(args) -> int:
     config = _load_config(args)
-    signals = generate_signals(config)
-    if not signals:
-        raise ValueError("config generates zero signals (n_per_class=0)")
-    space = SearchSpace(
-        grid_hz=config.search.grid_hz,
-        min_width_hz=config.search.min_width_hz,
-        n_layers=len(config.bands.layers),
-        bands_per_layer=config.bands.bands_per_layer,
-    )
-    rl = RlParams(
-        episodes=config.search.episodes,
-        steps_per_episode=config.search.steps_per_episode,
-        epsilon=config.search.epsilon,
-        alpha=config.search.alpha,
-        gamma=config.search.gamma,
-        seed=derive_seed("search", config.seed),
-    )
-    best, history = q_learn(space, signals, rl)
-    result = {
-        "best_config": {
-            "bands_per_layer": best.bands_per_layer,
-            "layers": [{"f_lo": lo, "f_hi": hi} for lo, hi in best.layers],
-        },
-        "best_reward": history[-1][1] if history else None,
-        "history": [[ep, r] for ep, r in history],
-    }
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    persist.dump_json(out / "search.json", result)
-    if history:
-        write_series_csv(
-            out / "reward_history.csv",
-            ["episode", "best_reward"],
-            [[ep, repr(float(r))] for ep, r in history],
-        )
-        svg_line_chart(
-            out / "reward_history.svg",
-            [ep for ep, _ in history],
-            {"best reward": [r for _, r in history]},
-            "Band-layout search",
-            "episode",
-            "best reward",
-        )
-    print(json.dumps({"best_reward": result["best_reward"], "out_dir": str(out)}, sort_keys=True))
+    _require_signals(config)
+    emit = ArtifactWriter(config.out_dir)
+    _, best_reward = search_stage(config, generate_signals(config), emit)
+    print(json.dumps({"best_reward": best_reward, "out_dir": str(emit.out)}, sort_keys=True))
     return 0
 
 
 def _cmd_build_dataset(args) -> int:
     config = _load_config(args)
-    signals = generate_signals(config)
-    dataset = build_dataset(signals, config.bands, config.pattern_stride)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    persist.save_dataset_csv(out / "dataset.csv", dataset)
+    emit = ArtifactWriter(config.out_dir)
+    dataset = dataset_stage(config, generate_signals(config), config.bands, emit)
     print(
         json.dumps(
-            {"n_rows": len(dataset), "n_channels": dataset.n_channels, "out_dir": str(out)},
+            {"n_rows": len(dataset), "n_channels": dataset.n_channels, "out_dir": str(emit.out)},
             sort_keys=True,
         )
     )
@@ -181,35 +136,11 @@ def _cmd_build_dataset(args) -> int:
 def _cmd_train(args) -> int:
     config = _load_config(args)
     dataset = persist.load_dataset_csv(args.dataset)
-    tparams = replace(config.train, seed=derive_seed("train", config.seed))
-    model0 = init_model(config.arch, derive_seed("init", config.seed))
-    model, history = train(model0, dataset, tparams)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    persist.save_model(out / "model.json", model)
-    if history:
-        write_series_csv(
-            out / "loss_history.csv",
-            ["epoch", "train_loss", "val_accuracy"],
-            [[ep, repr(float(l)), repr(float(a))] for ep, l, a in history],
-        )
-        svg_line_chart(
-            out / "loss_curve.svg",
-            [ep for ep, _, _ in history],
-            {
-                "train loss": [l for _, l, _ in history],
-                "val accuracy": [a for _, _, a in history],
-            },
-            "Training history",
-            "epoch",
-            "value",
-        )
-    _, val_idx = split_indices(len(dataset), tparams.seed)
-    report = eval_report(
-        model, PatternDataset(dataset.values[val_idx], dataset.labels[val_idx])
-    )
-    persist.dump_json(out / "metrics.json", report)
-    print(json.dumps({"val_accuracy": report["overall_accuracy"], "out_dir": str(out)}, sort_keys=True))
+    emit = ArtifactWriter(config.out_dir)
+    model, _, val_ds = train_stage(config, dataset, emit)
+    report = eval_report(model, val_ds)
+    emit("metrics.json", persist.dump_json, report)
+    print(json.dumps({"val_accuracy": report["overall_accuracy"], "out_dir": str(emit.out)}, sort_keys=True))
     return 0
 
 

@@ -176,13 +176,6 @@ class PatternDataset:
     def n_channels(self) -> int:
         return self.values.shape[1]
 
-    def pattern(self, i: int) -> PatternSignal:
-        from .signal_gen import INDEX_LABEL
-
-        return PatternSignal(
-            self.values[i].copy(), label=INDEX_LABEL[int(self.labels[i])], source_index=i
-        )
-
     @classmethod
     def from_patterns(cls, patterns: Iterable[PatternSignal]) -> "PatternDataset":
         from .signal_gen import LABEL_INDEX

@@ -11,23 +11,26 @@ from __future__ import annotations
 import csv
 import json
 import re
+from dataclasses import MISSING, astuple, dataclass, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .filterbank import ChannelMeta, FilteredStack, HyperFilterConfig, PatternDataset
 from .signal_gen import INDEX_LABEL, LABEL_INDEX, Label, PpgSignal
-from .tdcnn import ArchSpec, TdcnnModel, init_model, model_arrays
+from .tdcnn import ArchSpec, TdcnnModel, TrainParams, init_model, model_arrays
 from .vision import BoundingBox
 
 __all__ = [
     "FormatError",
     "dump_json",
     "load_json",
+    "dataclass_to_dict",
+    "dataclass_from_dict",
     "save_signal_csv",
     "load_signal_csv",
-    "save_signal_json",
-    "load_signal_json",
     "save_hyper_config",
     "load_hyper_config",
     "save_stack_csv",
@@ -85,6 +88,97 @@ def _require(obj: dict, key: str, where: str):
 
 
 # ---------------------------------------------------------------------------
+# Dataclass documents
+# ---------------------------------------------------------------------------
+
+# An architecture is stated in full wherever it is stored: a default filled
+# in silently would build a network that the stored weights do not fit.
+_WHOLE = (ArchSpec,)
+# The pipeline derives the training seed from the config seed, so documents
+# leave it out and decoding keeps the dataclass default.
+_DERIVED = (TrainParams, "seed")
+# Band layers are (f_lo, f_hi) pairs in code and {"f_lo", "f_hi"} objects in
+# documents.
+_LAYERS = (HyperFilterConfig, "layers")
+
+
+@dataclass(frozen=True)
+class _Layer:
+    f_lo: float
+    f_hi: float
+
+
+def dataclass_to_dict(value):
+    """JSON form of a value: a dataclass becomes an object with one key per
+    field, an enum its value, a tuple a list; anything else is kept."""
+    if is_dataclass(value):
+        doc = {}
+        for f in fields(value):
+            key = (type(value), f.name)
+            if key == _DERIVED:
+                continue
+            item = getattr(value, f.name)
+            if key == _LAYERS:
+                item = tuple(_Layer(*pair) for pair in item)
+            doc[f.name] = dataclass_to_dict(item)
+        return doc
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [dataclass_to_dict(v) for v in value]
+    return value
+
+
+def dataclass_from_dict(cls, doc, where: str, base=None):
+    """Build dataclass ``cls`` from its JSON form, converting each field to
+    its annotated type.
+
+    A field missing from ``doc`` takes its value from ``base`` or, without
+    one, its default. A field with no default, and every field of an
+    architecture, must be present. A key that names no field is refused.
+    """
+    if not isinstance(doc, dict):
+        raise FormatError(f"{where}: expected an object, got {type(doc).__name__}")
+    known = [f for f in fields(cls) if (cls, f.name) != _DERIVED]
+    names = {f.name for f in known}
+    for key in doc:
+        if key not in names:
+            raise FormatError(f"{where}: unknown field {key!r}")
+    hints = get_type_hints(cls)
+    values = {}
+    for f in known:
+        at = f"{where}: {f.name}"
+        if f.name in doc and (cls, f.name) == _LAYERS:
+            layers = _from_json(doc[f.name], tuple[_Layer, ...], at, None)
+            values[f.name] = tuple(astuple(layer) for layer in layers)
+        elif f.name in doc:
+            inner = getattr(base, f.name) if base is not None else None
+            values[f.name] = _from_json(doc[f.name], hints[f.name], at, inner)
+        elif f.default is MISSING or cls in _WHOLE:
+            raise FormatError(f"{where}: missing field {f.name!r}")
+        elif base is not None:
+            values[f.name] = getattr(base, f.name)
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+
+
+def _from_json(value, hint, where: str, base):
+    if is_dataclass(hint):
+        return dataclass_from_dict(hint, value, where, base)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise FormatError(f"{where}: expected a list, got {type(value).__name__}")
+        item = get_args(hint)[0]
+        return tuple(_from_json(v, item, f"{where}[{i}]", None) for i, v in enumerate(value))
+    try:
+        return hint(value)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
 # Signals
 # ---------------------------------------------------------------------------
 
@@ -115,63 +209,17 @@ def load_signal_csv(path: str | Path) -> PpgSignal:
     return PpgSignal(np.array(samples), fs=fs, label=label)
 
 
-def save_signal_json(path: str | Path, signal: PpgSignal) -> None:
-    dump_json(
-        path,
-        {
-            "schema_version": 1,
-            "fs": signal.fs,
-            "label": signal.label.value if signal.label is not None else None,
-            "samples": [float(v) for v in signal.samples],
-        },
-    )
-
-
-def load_signal_json(path: str | Path) -> PpgSignal:
-    obj = load_json(path)
-    where = str(path)
-    fs = _require(obj, "fs", where)
-    samples = _require(obj, "samples", where)
-    raw_label = obj.get("label")
-    label = _parse_label(raw_label if raw_label is not None else "", where)
-    try:
-        return PpgSignal(np.array(samples, dtype=np.float64), fs=float(fs), label=label)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{where}: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # Hyper-filter configuration
 # ---------------------------------------------------------------------------
 
 
 def save_hyper_config(path: str | Path, config: HyperFilterConfig) -> None:
-    dump_json(
-        path,
-        {
-            "bands_per_layer": config.bands_per_layer,
-            "layers": [{"f_lo": lo, "f_hi": hi} for lo, hi in config.layers],
-        },
-    )
-
-
-def hyper_config_from_dict(obj: dict, where: str = "config") -> HyperFilterConfig:
-    layers = _require(obj, "layers", where)
-    bands = obj.get("bands_per_layer", 11)
-    try:
-        return HyperFilterConfig(
-            tuple(
-                (float(_require(lay, "f_lo", where)), float(_require(lay, "f_hi", where)))
-                for lay in layers
-            ),
-            bands_per_layer=int(bands),
-        )
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{where}: {exc}") from exc
+    dump_json(path, dataclass_to_dict(config))
 
 
 def load_hyper_config(path: str | Path) -> HyperFilterConfig:
-    return hyper_config_from_dict(load_json(path), where=str(path))
+    return dataclass_from_dict(HyperFilterConfig, load_json(path), str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -290,44 +338,16 @@ def save_model(path: str | Path, model: TdcnnModel) -> None:
     flat: list[str] = []
     for arr in model_arrays(model):
         flat.extend(_fmt(v) for v in arr.ravel())
-    arch = model.arch
     dump_json(
         path,
-        {
-            "schema_version": 1,
-            "arch": {
-                "n_blocks": arch.n_blocks,
-                "kernel_size": arch.kernel_size,
-                "channels": arch.channels,
-                "dilation_schedule": list(arch.dilation_schedule),
-                "dropout_rate": arch.dropout_rate,
-                "n_classes": arch.n_classes,
-            },
-            "weights": flat,
-        },
+        {"schema_version": 1, "arch": dataclass_to_dict(model.arch), "weights": flat},
     )
-
-
-def arch_from_dict(obj: dict, where: str = "arch") -> ArchSpec:
-    try:
-        return ArchSpec(
-            n_blocks=int(_require(obj, "n_blocks", where)),
-            kernel_size=int(_require(obj, "kernel_size", where)),
-            channels=int(_require(obj, "channels", where)),
-            dilation_schedule=tuple(int(d) for d in _require(obj, "dilation_schedule", where)),
-            dropout_rate=float(_require(obj, "dropout_rate", where)),
-            n_classes=int(_require(obj, "n_classes", where)),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, FormatError):
-            raise
-        raise FormatError(f"{where}: {exc}") from exc
 
 
 def load_model(path: str | Path) -> TdcnnModel:
     obj = load_json(path)
     where = str(path)
-    arch = arch_from_dict(_require(obj, "arch", where), where=f"{where}: arch")
+    arch = dataclass_from_dict(ArchSpec, _require(obj, "arch", where), f"{where}: arch")
     raw = _require(obj, "weights", where)
     flat = np.array([_parse_float(v, f"{where}: weights[{i}]") for i, v in enumerate(raw)])
     model = init_model(arch, seed=0)

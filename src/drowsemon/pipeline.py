@@ -26,9 +26,9 @@ from .filterbank import (
 )
 from .persist import (
     FormatError,
-    arch_from_dict,
+    dataclass_from_dict,
+    dataclass_to_dict,
     dump_json,
-    hyper_config_from_dict,
     save_dataset_csv,
     save_hyper_config,
     save_model,
@@ -47,6 +47,7 @@ from .signal_gen import (
 )
 from .tdcnn import (
     ArchSpec,
+    TdcnnModel,
     TrainParams,
     init_model,
     predict_wakeful_scores,
@@ -67,6 +68,11 @@ __all__ = [
     "config_hash",
     "derive_seed",
     "eval_report",
+    "ArtifactWriter",
+    "synth_stage",
+    "search_stage",
+    "dataset_stage",
+    "train_stage",
     "run_pipeline",
 ]
 
@@ -138,16 +144,7 @@ class RunManifest:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": CONFIG_SCHEMA_VERSION,
-            "config_hash": self.config_hash,
-            "status": self.status,
-            "artifacts": self.artifacts,
-            "metrics": self.metrics,
-            "timings": self.timings,
-            "failed_stage": self.failed_stage,
-            "error": self.error,
-        }
+        return {"schema_version": CONFIG_SCHEMA_VERSION, **dataclass_to_dict(self)}
 
 
 def default_config(out_dir: str = "runs/default", seed: int = 7) -> PipelineConfig:
@@ -160,166 +157,20 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "little") % (2**62)
 
 
-def _ans_state_to_dict(state: AnsState) -> dict:
-    return {
-        "label": state.label.value,
-        "mean_hr": state.mean_hr,
-        "hr_sdnn": state.hr_sdnn,
-        "lf_hf_ratio": state.lf_hf_ratio,
-    }
-
-
-def _ans_state_from_dict(obj: dict, where: str) -> AnsState:
-    try:
-        return AnsState(
-            label=Label(obj["label"]),
-            mean_hr=float(obj["mean_hr"]),
-            hr_sdnn=float(obj["hr_sdnn"]),
-            lf_hf_ratio=float(obj["lf_hf_ratio"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{where}: {exc}") from exc
-
-
 def config_to_dict(config: PipelineConfig) -> dict:
-    gen = config.generation
-    return {
-        "schema_version": CONFIG_SCHEMA_VERSION,
-        "seed": config.seed,
-        "out_dir": config.out_dir,
-        "generation": {
-            "duration_s": gen.duration_s,
-            "fs": gen.fs,
-            "n_per_class": gen.n_per_class,
-            "drowsy": _ans_state_to_dict(gen.drowsy),
-            "wakeful": _ans_state_to_dict(gen.wakeful),
-            "noise": {
-                "baseline_wander_amp": gen.noise.baseline_wander_amp,
-                "baseline_wander_freq": gen.noise.baseline_wander_freq,
-                "motion_burst_rate": gen.noise.motion_burst_rate,
-                "motion_burst_amp": gen.noise.motion_burst_amp,
-                "white_noise_snr_db": gen.noise.white_noise_snr_db,
-            },
-        },
-        "bands": {
-            "bands_per_layer": config.bands.bands_per_layer,
-            "layers": [{"f_lo": lo, "f_hi": hi} for lo, hi in config.bands.layers],
-        },
-        "search": {
-            "enabled": config.search.enabled,
-            "grid_hz": config.search.grid_hz,
-            "min_width_hz": config.search.min_width_hz,
-            "episodes": config.search.episodes,
-            "steps_per_episode": config.search.steps_per_episode,
-            "epsilon": config.search.epsilon,
-            "alpha": config.search.alpha,
-            "gamma": config.search.gamma,
-        },
-        "pattern_stride": config.pattern_stride,
-        "arch": {
-            "n_blocks": config.arch.n_blocks,
-            "kernel_size": config.arch.kernel_size,
-            "channels": config.arch.channels,
-            "dilation_schedule": list(config.arch.dilation_schedule),
-            "dropout_rate": config.arch.dropout_rate,
-            "n_classes": config.arch.n_classes,
-        },
-        "train": {
-            "lr": config.train.lr,
-            "beta1": config.train.beta1,
-            "beta2": config.train.beta2,
-            "batch_size": config.train.batch_size,
-            "epochs": config.train.epochs,
-            "weight_decay": config.train.weight_decay,
-        },
-    }
+    return {"schema_version": CONFIG_SCHEMA_VERSION, **dataclass_to_dict(config)}
 
 
 def config_from_dict(obj: dict, where: str = "config") -> PipelineConfig:
+    """Config from its document; an object left out, or a field left out of
+    a partial object, keeps the value of ``default_config()``."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"{where}: expected an object, got {type(obj).__name__}")
     version = obj.get("schema_version")
     if version != CONFIG_SCHEMA_VERSION:
         raise FormatError(f"{where}: unsupported schema_version {version!r}")
-    base = default_config()
-    try:
-        gen_obj = obj.get("generation", {})
-        noise_obj = gen_obj.get("noise", {})
-        gen_base = base.generation
-        generation = GenerationConfig(
-            duration_s=float(gen_obj.get("duration_s", gen_base.duration_s)),
-            fs=float(gen_obj.get("fs", gen_base.fs)),
-            n_per_class=int(gen_obj.get("n_per_class", gen_base.n_per_class)),
-            drowsy=(
-                _ans_state_from_dict(gen_obj["drowsy"], f"{where}: drowsy")
-                if "drowsy" in gen_obj
-                else gen_base.drowsy
-            ),
-            wakeful=(
-                _ans_state_from_dict(gen_obj["wakeful"], f"{where}: wakeful")
-                if "wakeful" in gen_obj
-                else gen_base.wakeful
-            ),
-            noise=NoiseSpec(
-                baseline_wander_amp=float(
-                    noise_obj.get("baseline_wander_amp", gen_base.noise.baseline_wander_amp)
-                ),
-                baseline_wander_freq=float(
-                    noise_obj.get("baseline_wander_freq", gen_base.noise.baseline_wander_freq)
-                ),
-                motion_burst_rate=float(
-                    noise_obj.get("motion_burst_rate", gen_base.noise.motion_burst_rate)
-                ),
-                motion_burst_amp=float(
-                    noise_obj.get("motion_burst_amp", gen_base.noise.motion_burst_amp)
-                ),
-                white_noise_snr_db=float(
-                    noise_obj.get("white_noise_snr_db", gen_base.noise.white_noise_snr_db)
-                ),
-            ),
-        )
-        bands = (
-            hyper_config_from_dict(obj["bands"], where=f"{where}: bands")
-            if "bands" in obj
-            else base.bands
-        )
-        search_obj = obj.get("search", {})
-        sea_base = base.search
-        search = SearchConfig(
-            enabled=bool(search_obj.get("enabled", sea_base.enabled)),
-            grid_hz=float(search_obj.get("grid_hz", sea_base.grid_hz)),
-            min_width_hz=float(search_obj.get("min_width_hz", sea_base.min_width_hz)),
-            episodes=int(search_obj.get("episodes", sea_base.episodes)),
-            steps_per_episode=int(
-                search_obj.get("steps_per_episode", sea_base.steps_per_episode)
-            ),
-            epsilon=float(search_obj.get("epsilon", sea_base.epsilon)),
-            alpha=float(search_obj.get("alpha", sea_base.alpha)),
-            gamma=float(search_obj.get("gamma", sea_base.gamma)),
-        )
-        arch = arch_from_dict(obj["arch"], where=f"{where}: arch") if "arch" in obj else base.arch
-        train_obj = obj.get("train", {})
-        t_base = base.train
-        train_params = TrainParams(
-            lr=float(train_obj.get("lr", t_base.lr)),
-            beta1=float(train_obj.get("beta1", t_base.beta1)),
-            beta2=float(train_obj.get("beta2", t_base.beta2)),
-            batch_size=int(train_obj.get("batch_size", t_base.batch_size)),
-            epochs=int(train_obj.get("epochs", t_base.epochs)),
-            weight_decay=float(train_obj.get("weight_decay", t_base.weight_decay)),
-        )
-        return PipelineConfig(
-            seed=int(obj.get("seed", base.seed)),
-            out_dir=str(obj.get("out_dir", base.out_dir)),
-            generation=generation,
-            bands=bands,
-            search=search,
-            pattern_stride=int(obj.get("pattern_stride", base.pattern_stride)),
-            arch=arch,
-            train=train_params,
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, FormatError):
-            raise
-        raise FormatError(f"{where}: {exc}") from exc
+    body = {k: v for k, v in obj.items() if k != "schema_version"}
+    return dataclass_from_dict(PipelineConfig, body, where, base=default_config())
 
 
 def config_hash(config: PipelineConfig) -> str:
@@ -384,6 +235,134 @@ def build_dataset(
     return PatternDataset.from_patterns(patterns)
 
 
+class ArtifactWriter:
+    """The ``emit`` that stages write through: ``emit(rel, writer, *args)``
+    calls ``writer(out / rel, *args)`` after creating the file's directory
+    and records ``rel`` in ``written``."""
+
+    def __init__(self, out: str | Path):
+        self.out = Path(out)
+        self.written: list[str] = []
+
+    def __call__(self, rel: str, writer, *args) -> None:
+        path = self.out / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        writer(path, *args)
+        self.written.append(rel)
+
+
+def synth_stage(config: PipelineConfig, emit: ArtifactWriter) -> list[PpgSignal]:
+    """Generate the signals; writes one CSV per signal and ``signals/index.json``."""
+    signals = generate_signals(config)
+    names = []
+    for i, sig in enumerate(signals):
+        rel = f"signals/{sig.label.value.lower()}_{i:03d}.csv"
+        emit(rel, save_signal_csv, sig)
+        names.append(rel)
+    emit("signals/index.json", dump_json, {"n_signals": len(names), "files": names})
+    return signals
+
+
+def search_stage(
+    config: PipelineConfig, signals: list[PpgSignal], emit: ArtifactWriter
+) -> tuple[HyperFilterConfig, float | None]:
+    """Q-learning search for a band layout with the config's layer count;
+    writes ``search.json`` and the reward history. Returns the best layout
+    and its reward (None when the search runs no episode)."""
+    search = config.search
+    space = SearchSpace(
+        grid_hz=search.grid_hz,
+        min_width_hz=search.min_width_hz,
+        n_layers=len(config.bands.layers),
+        bands_per_layer=config.bands.bands_per_layer,
+    )
+    rl = RlParams(
+        episodes=search.episodes,
+        steps_per_episode=search.steps_per_episode,
+        epsilon=search.epsilon,
+        alpha=search.alpha,
+        gamma=search.gamma,
+        seed=derive_seed("search", config.seed),
+    )
+    bands, history = q_learn(space, signals, rl)
+    best_reward = history[-1][1] if history else None
+    emit(
+        "search.json",
+        dump_json,
+        {
+            "best_config": dataclass_to_dict(bands),
+            "best_reward": best_reward,
+            "history": [[ep, r] for ep, r in history],
+        },
+    )
+    if history:
+        emit(
+            "reward_history.csv",
+            write_series_csv,
+            ["episode", "best_reward"],
+            [[ep, repr(float(r))] for ep, r in history],
+        )
+        emit(
+            "reward_history.svg",
+            svg_line_chart,
+            [ep for ep, _ in history],
+            {"best reward": [r for _, r in history]},
+            "Band-layout search",
+            "episode",
+            "best reward",
+        )
+    return bands, best_reward
+
+
+def dataset_stage(
+    config: PipelineConfig, signals: list[PpgSignal], bands: HyperFilterConfig, emit: ArtifactWriter
+) -> PatternDataset:
+    """Pattern rows of every signal under ``bands``; writes ``dataset.csv``."""
+    dataset = build_dataset(signals, bands, config.pattern_stride)
+    counts = dataset.class_counts()
+    if any(c == 0 for c in counts.values()):
+        raise ValueError(f"dataset is missing a class: {counts}")
+    emit("dataset.csv", save_dataset_csv, dataset)
+    return dataset
+
+
+def _train_params(config: PipelineConfig) -> TrainParams:
+    return replace(config.train, seed=derive_seed("train", config.seed))
+
+
+def train_stage(
+    config: PipelineConfig, dataset: PatternDataset, emit: ArtifactWriter
+) -> tuple[TdcnnModel, list[tuple[int, float, float]], PatternDataset]:
+    """Train the TDCNN from its seeded initialisation; writes ``model.json``
+    and the loss history. Returns the model, the per-epoch history and the
+    validation split that training held out."""
+    tparams = _train_params(config)
+    model0 = init_model(config.arch, derive_seed("init", config.seed))
+    model, history = train(model0, dataset, tparams)
+    emit("model.json", save_model, model)
+    if history:
+        emit(
+            "loss_history.csv",
+            write_series_csv,
+            ["epoch", "train_loss", "val_accuracy"],
+            [[ep, repr(float(l)), repr(float(a))] for ep, l, a in history],
+        )
+        emit(
+            "loss_curve.svg",
+            svg_line_chart,
+            [ep for ep, _, _ in history],
+            {
+                "train loss": [l for _, l, _ in history],
+                "val accuracy": [a for _, _, a in history],
+            },
+            "Training history",
+            "epoch",
+            "value",
+        )
+    _, val_idx = split_indices(len(dataset), tparams.seed)
+    return model, history, PatternDataset(dataset.values[val_idx], dataset.labels[val_idx])
+
+
 def run_pipeline(config: PipelineConfig) -> RunManifest:
     """Execute every stage, writing artifacts and a manifest under out_dir.
 
@@ -392,9 +371,7 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
     config produce byte-identical artifacts apart from the timing section
     of the manifest.
     """
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts: list[str] = []
+    emit = ArtifactWriter(config.out_dir)
     timings: dict[str, float] = {}
     metrics: dict = {}
     chash = config_hash(config)
@@ -403,32 +380,21 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
         manifest = RunManifest(
             config_hash=chash,
             status=status,
-            artifacts=sorted(artifacts),
+            artifacts=sorted(emit.written),
             metrics=metrics,
             timings=timings,
             failed_stage=failed_stage,
             error=error,
         )
-        dump_json(out / "manifest.json", manifest.to_dict())
+        dump_json(emit.out / "manifest.json", manifest.to_dict())
         return manifest
-
-    def emit(rel: str, writer, *args) -> None:
-        writer(out / rel, *args)
-        artifacts.append(rel)
 
     emit("config.json", dump_json, config_to_dict(config))
 
     stage = "synth"
     try:
         started = time.perf_counter()
-        signals = generate_signals(config)
-        (out / "signals").mkdir(exist_ok=True)
-        names = []
-        for i, sig in enumerate(signals):
-            rel = f"signals/{sig.label.value.lower()}_{i:03d}.csv"
-            emit(rel, save_signal_csv, sig)
-            names.append(rel)
-        emit("signals/index.json", dump_json, {"n_signals": len(names), "files": names})
+        signals = synth_stage(config, emit)
         if signals:
             first = signals[0]
             t_axis = [i / first.fs for i in range(first.samples.size)]
@@ -453,60 +419,13 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
         started = time.perf_counter()
         bands = config.bands
         if config.search.enabled:
-            space = SearchSpace(
-                grid_hz=config.search.grid_hz,
-                min_width_hz=config.search.min_width_hz,
-                n_layers=len(config.bands.layers),
-                bands_per_layer=config.bands.bands_per_layer,
-            )
-            rl = RlParams(
-                episodes=config.search.episodes,
-                steps_per_episode=config.search.steps_per_episode,
-                epsilon=config.search.epsilon,
-                alpha=config.search.alpha,
-                gamma=config.search.gamma,
-                seed=derive_seed("search", config.seed),
-            )
-            bands, history = q_learn(space, signals, rl)
-            emit(
-                "search.json",
-                dump_json,
-                {
-                    "best_config": {
-                        "bands_per_layer": bands.bands_per_layer,
-                        "layers": [{"f_lo": lo, "f_hi": hi} for lo, hi in bands.layers],
-                    },
-                    "best_reward": history[-1][1] if history else None,
-                    "history": [[ep, r] for ep, r in history],
-                },
-            )
-            if history:
-                emit(
-                    "reward_history.csv",
-                    write_series_csv,
-                    ["episode", "best_reward"],
-                    [[ep, repr(float(r))] for ep, r in history],
-                )
-                emit(
-                    "reward_history.svg",
-                    svg_line_chart,
-                    [ep for ep, _ in history],
-                    {"best reward": [r for _, r in history]},
-                    "Band-layout search",
-                    "episode",
-                    "best reward",
-                )
-            metrics["search_best_reward"] = float(history[-1][1]) if history else None
+            bands, metrics["search_best_reward"] = search_stage(config, signals, emit)
         emit("bands.json", save_hyper_config, bands)
         timings[stage] = time.perf_counter() - started
 
         stage = "dataset"
         started = time.perf_counter()
-        dataset = build_dataset(signals, bands, config.pattern_stride)
-        counts = dataset.class_counts()
-        if any(c == 0 for c in counts.values()):
-            raise ValueError(f"dataset is missing a class: {counts}")
-        emit("dataset.csv", save_dataset_csv, dataset)
+        dataset = dataset_stage(config, signals, bands, emit)
         metrics["reward"] = fisher_score(
             dataset.values[dataset.labels == 0], dataset.values[dataset.labels == 1]
         )
@@ -514,37 +433,13 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
 
         stage = "train"
         started = time.perf_counter()
-        tparams = replace(config.train, seed=derive_seed("train", config.seed))
-        model0 = init_model(config.arch, derive_seed("init", config.seed))
-        model, history = train(model0, dataset, tparams)
-        emit("model.json", save_model, model)
-        if history:
-            emit(
-                "loss_history.csv",
-                write_series_csv,
-                ["epoch", "train_loss", "val_accuracy"],
-                [[ep, repr(float(l)), repr(float(a))] for ep, l, a in history],
-            )
-            emit(
-                "loss_curve.svg",
-                svg_line_chart,
-                [ep for ep, _, _ in history],
-                {
-                    "train loss": [l for _, l, _ in history],
-                    "val accuracy": [a for _, _, a in history],
-                },
-                "Training history",
-                "epoch",
-                "value",
-            )
-        mlp_model, mlp_acc = train_baseline_mlp(dataset, tparams)
+        model, history, val_ds = train_stage(config, dataset, emit)
+        mlp_model, mlp_acc = train_baseline_mlp(dataset, _train_params(config))
         metrics["best_val_accuracy"] = max((a for _, _, a in history), default=None)
         timings[stage] = time.perf_counter() - started
 
         stage = "eval"
         started = time.perf_counter()
-        _, val_idx = split_indices(len(dataset), tparams.seed)
-        val_ds = PatternDataset(dataset.values[val_idx], dataset.labels[val_idx])
         metrics["tdcnn"] = eval_report(model, val_ds)
         metrics["baseline_mlp"] = eval_report(mlp_model, val_ds)
         metrics["baseline_mlp"]["best_val_accuracy"] = float(mlp_acc)

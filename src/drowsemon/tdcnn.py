@@ -270,10 +270,10 @@ def _causal_conv_backward(
 
 def _norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Standardize each time step across channels, then scale/shift per channel."""
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
+    xc = x - x.mean(axis=1, keepdims=True)
+    var = (xc * xc).mean(axis=1, keepdims=True)
     s = np.sqrt(var + _NORM_EPS)
-    xhat = (x - mu) / s
+    xhat = xc / s
     y = gamma[None, :, None] * xhat + beta[None, :, None]
     return y, xhat, s
 

@@ -15,7 +15,6 @@ from drowsemon.persist import (
     load_mask_pgm,
     load_model,
     load_signal_csv,
-    load_signal_json,
     load_stack_csv,
     save_boxes,
     save_dataset_csv,
@@ -23,7 +22,6 @@ from drowsemon.persist import (
     save_mask_pgm,
     save_model,
     save_signal_csv,
-    save_signal_json,
     save_stack_csv,
 )
 from drowsemon.signal_gen import DROWSY_PRESET, Label, PpgSignal, generate_ppg
@@ -52,13 +50,6 @@ class TestSignalRoundTrip:
         loaded = load_signal_csv(path)
         assert loaded.label is None
         assert np.array_equal(loaded.samples, sig.samples)
-
-    def test_json_bitwise(self, tmp_path, signal):
-        path = tmp_path / "sig.json"
-        save_signal_json(path, signal)
-        loaded = load_signal_json(path)
-        assert np.array_equal(loaded.samples, signal.samples)
-        assert loaded.fs == signal.fs and loaded.label is signal.label
 
     def test_bad_header_reports_line(self, tmp_path):
         path = tmp_path / "sig.csv"

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from dataclasses import replace
@@ -5,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from drowsemon.cli import main
+from drowsemon.cli import build_parser, main
 from drowsemon.filterbank import HyperFilterConfig, PatternDataset
 from drowsemon.persist import (
+    FormatError,
     dump_json,
     load_dataset_csv,
     load_json,
@@ -114,6 +116,48 @@ class TestConfig:
         with pytest.raises(Exception, match="schema_version"):
             config_from_dict(doc)
 
+    def test_hash_pinned(self):
+        assert config_hash(default_config()) == (
+            "f92656dffb3a391a19a6a4855b2947cb5970befab5376d1b574d7c620249364d"
+        )
+        assert config_hash(tiny_config("/tmp/x", seed=11)) == (
+            "290529163347a47742ca025eb4a91ed1399255fa4e9a60cefc76bd2625d3d89c"
+        )
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"train": {"epoch": 3}}, "config: train: unknown field 'epoch'"),
+            ({"generaton": {"n_per_class": 2}}, "config: unknown field 'generaton'"),
+            (
+                {"generation": {"noise": {"snr_db": 3.0}}},
+                "config: generation: noise: unknown field 'snr_db'",
+            ),
+            (
+                {"bands": {"layers": [{"f_lo": 1.0, "f_hi": 4.0, "f_mid": 2.0}]}},
+                r"config: bands: layers\[0\]: unknown field 'f_mid'",
+            ),
+        ],
+    )
+    def test_unknown_field_rejected(self, doc, message):
+        with pytest.raises(FormatError, match=message):
+            config_from_dict({"schema_version": 1, **doc})
+
+    def test_non_object_document_rejected(self):
+        with pytest.raises(FormatError, match="config: expected an object, got list"):
+            config_from_dict([1, 2])
+
+    def test_misspelt_fields_not_ignored(self):
+        doc = {"schema_version": 1, "train": {"epoch": 3}, "generaton": {"n_per_class": 2}}
+        with pytest.raises(FormatError, match="unknown field"):
+            config_from_dict(doc)
+
+    def test_partial_objects_keep_defaults_but_arch_is_whole(self):
+        config = config_from_dict({"schema_version": 1, "train": {"epochs": 3}})
+        assert config == replace(default_config(), train=replace(default_config().train, epochs=3))
+        with pytest.raises(FormatError, match="config: arch: missing field 'kernel_size'"):
+            config_from_dict({"schema_version": 1, "arch": {"n_blocks": 12}})
+
     def test_derive_seed_stable_and_distinct(self):
         assert derive_seed("synth", 7, 0, 1) == derive_seed("synth", 7, 0, 1)
         assert derive_seed("synth", 7, 0, 1) != derive_seed("synth", 7, 0, 2)
@@ -166,6 +210,37 @@ class TestRunPipeline:
         for rel in files_a:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes(), rel
 
+    def test_stage_commands_write_the_run_bytes(self, tmp_path, capsys):
+        search = SearchConfig(enabled=True, grid_hz=3.0, min_width_hz=6.0, episodes=6,
+                              steps_per_episode=3)
+        config = replace(tiny_config(tmp_path / "run"), search=search)
+        manifest = run_pipeline(config)
+        run_dir, cli_dir = tmp_path / "run", tmp_path / "cli"
+
+        cfg_path = tmp_path / "cli.json"
+        dump_json(cfg_path, config_to_dict(replace(config, out_dir=str(cli_dir))))
+        assert main(["synth", "--config", str(cfg_path)]) == 0
+        assert main(["search-bands", "--config", str(cfg_path)]) == 0
+        doc = load_json(cfg_path)
+        doc["bands"] = load_json(cli_dir / "search.json")["best_config"]
+        dump_json(cfg_path, doc)
+        assert main(["build-dataset", "--config", str(cfg_path)]) == 0
+        assert main(["train", "--config", str(cfg_path), "--dataset", str(cli_dir / "dataset.csv")]) == 0
+
+        def files(root):
+            return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+        index = load_json(cli_dir / "signals" / "index.json")
+        assert files(cli_dir) == set(index["files"]) | {
+            "signals/index.json", "search.json", "reward_history.csv", "reward_history.svg",
+            "dataset.csv", "model.json", "loss_history.csv", "loss_curve.svg", "metrics.json",
+        }
+        shared = files(cli_dir) - {"metrics.json"}
+        assert shared < files(run_dir)
+        for rel in sorted(shared):
+            assert (cli_dir / rel).read_bytes() == (run_dir / rel).read_bytes(), rel
+        assert load_json(cli_dir / "metrics.json") == manifest.metrics["tdcnn"]
+
     def test_search_stage_artifacts(self, tmp_path):
         config = replace(
             tiny_config(tmp_path / "run"),
@@ -186,6 +261,32 @@ class TestCliCommands:
         path = tmp_path / "config.json"
         dump_json(path, config_to_dict(config))
         return path, config
+
+    def test_cli_surface(self):
+        sub = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        surface = {
+            name: [opt for action in p._actions for opt in action.option_strings]
+            for name, p in sub.choices.items()
+        }
+        common = ["-h", "--help", "--config", "--seed", "--out"]
+        assert surface == {
+            "run": common,
+            "synth": common,
+            "filter": common + ["--signal", "--bands"],
+            "search-bands": common,
+            "build-dataset": common,
+            "train": common + ["--dataset"],
+            "eval": ["-h", "--help", "--model", "--dataset", "--out"],
+            "assess": ["-h", "--help", "--model", "--signal", "--config", "--bands",
+                       "--window-s", "--out"],
+            "salient": ["-h", "--help", "--boxes", "--min-height", "--min-width",
+                        "--frame-height", "--frame-width", "--out"],
+            "miou": ["-h", "--help", "--pred", "--gt", "--classes", "--out"],
+            "rcca-check": ["-h", "--help", "--height", "--width", "--channels", "--seed",
+                           "--out"],
+        }
 
     def test_synth_writes_signals(self, tmp_path, capsys):
         cfg_path, config = self.write_config(tmp_path)
