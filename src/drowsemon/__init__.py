@@ -26,6 +26,7 @@ from .filterbank import (
     apply_filter,
     design_bandpass,
     hyper_filter,
+    pattern_rows,
     pattern_signals,
     subband_edges,
 )

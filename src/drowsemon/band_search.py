@@ -2,7 +2,7 @@
 
 The search space is the set of layer edge pairs on a fixed frequency grid;
 an action moves one edge by one grid step. The reward of a layout is the
-mean Fisher discriminant ratio of the pattern-signals it produces for a
+mean Fisher discriminant ratio of the pattern rows it produces for a
 labeled signal set, so better layouts separate the classes more.
 """
 
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filterbank import HyperFilterConfig, hyper_filter, pattern_signals
-from .signal_gen import Label, PpgSignal
+from .filterbank import HyperFilterConfig, build_dataset
+from .signal_gen import LABEL_INDEX, Label, PpgSignal
 
 __all__ = [
     "SearchSpace",
@@ -167,25 +167,16 @@ def fisher_score(class_a: np.ndarray, class_b: np.ndarray, eps: float = _FISHER_
     return float(np.mean(num / den))
 
 
-def _class_pattern_matrices(
-    config: HyperFilterConfig, labeled_signals: list[PpgSignal]
-) -> dict[Label, np.ndarray]:
-    groups: dict[Label, list[np.ndarray]] = {Label.DROWSY: [], Label.WAKEFUL: []}
-    for sig in labeled_signals:
-        if sig.label is None:
-            raise ValueError("reward needs labeled signals")
-        stack = hyper_filter(sig, config)
-        rows = np.stack([p.values for p in pattern_signals(stack)])
-        groups[sig.label].append(rows)
-    if not groups[Label.DROWSY] or not groups[Label.WAKEFUL]:
-        raise ValueError("reward requires signals from both classes")
-    return {lab: np.concatenate(rows) for lab, rows in groups.items()}
-
-
 def reward(config: HyperFilterConfig, labeled_signals: list[PpgSignal]) -> float:
-    """Class separability of the pattern-signals a band layout produces."""
-    mats = _class_pattern_matrices(config, labeled_signals)
-    return fisher_score(mats[Label.DROWSY], mats[Label.WAKEFUL])
+    """Class separability of the pattern rows a band layout produces."""
+    dataset = build_dataset(labeled_signals, config, 1)
+    if 0 in dataset.class_counts().values():
+        raise ValueError("reward requires signals from both classes")
+    drowsy = dataset.labels == LABEL_INDEX[Label.DROWSY]
+    class_a, class_b = dataset.values[drowsy], dataset.values[~drowsy]
+    # the class matrices copy every row: free the whole one before scoring
+    del dataset
+    return fisher_score(class_a, class_b)
 
 
 def neighbors(config: HyperFilterConfig, space: SearchSpace) -> list[HyperFilterConfig]:

@@ -210,7 +210,7 @@ def _cmd_salient(args) -> int:
         "min_width": min_w,
         "n_input": len(boxes),
         "n_salient": len(kept),
-        "boxes": [{"x": b.x, "y": b.y, "w": b.w, "h": b.h} for b in kept],
+        "boxes": [persist.dataclass_to_dict(b) for b in kept],
     }
     _write_result(args, "salient.json", result)
     return 0

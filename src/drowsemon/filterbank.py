@@ -1,9 +1,12 @@
-"""Sub-band FIR filtering of PPG signals and pattern-signal extraction.
+"""Sub-band FIR filtering of PPG signals and pattern extraction.
 
 The 1-10 Hz band of interest is carved into layered stacks of contiguous
 sub-bands ("hyper-filtering"). Each (layer, band) pair yields one filtered
-channel; a pattern-signal is the cross-channel vector of one time sample,
-which downstream classifiers consume.
+channel; a pattern is the cross-channel vector of one time sample.
+``pattern_rows`` returns a signal's patterns as one (rows, channels)
+matrix; ``build_dataset`` stacks those of many labeled signals for the
+classifiers and the band-search reward. ``pattern_signals`` views the
+rows of one signal as labeled objects.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .signal_gen import Label, PpgSignal
+from .signal_gen import INDEX_LABEL, LABEL_INDEX, Label, PpgSignal
 
 __all__ = [
     "PPG_BAND",
@@ -30,7 +33,9 @@ __all__ = [
     "apply_filter",
     "subband_edges",
     "hyper_filter",
+    "pattern_rows",
     "pattern_signals",
+    "build_dataset",
 ]
 
 PPG_BAND = (1.0, 10.0)
@@ -178,8 +183,6 @@ class PatternDataset:
 
     @classmethod
     def from_patterns(cls, patterns: Iterable[PatternSignal]) -> "PatternDataset":
-        from .signal_gen import LABEL_INDEX
-
         pats = list(patterns)
         if not pats:
             raise ValueError("cannot build a dataset from zero patterns")
@@ -190,8 +193,6 @@ class PatternDataset:
         return cls(values, labels)
 
     def class_counts(self) -> dict[Label, int]:
-        from .signal_gen import INDEX_LABEL
-
         return {lab: int(np.sum(self.labels == i)) for i, lab in enumerate(INDEX_LABEL)}
 
 
@@ -295,12 +296,14 @@ def hyper_filter(signal: PpgSignal, config: HyperFilterConfig) -> FilteredStack:
     return FilteredStack(channels, meta, fs=signal.fs, label=signal.label)
 
 
-def pattern_signals(stack: FilteredStack, margin: int | None = None) -> list[PatternSignal]:
-    """Extract one cross-channel pattern per retained sample index.
+def pattern_rows(stack: FilteredStack, margin: int | None = None) -> np.ndarray:
+    """Cross-channel patterns of the retained samples as a (rows, channels) matrix.
 
     ``margin`` samples are dropped from each end (default: the stack's
-    edge-transient margin); index k of the result reads channel c at
-    ``stack.channels[c][margin + k]``.
+    edge-transient margin); row k reads channel c at
+    ``stack.channels[c][margin + k]``. The matrix is C-contiguous: a
+    reduction over its rows, such as the Fisher score's class means, rounds
+    differently on a transposed view of the channels.
     """
     if margin is None:
         margin = stack.default_margin
@@ -311,7 +314,32 @@ def pattern_signals(stack: FilteredStack, margin: int | None = None) -> list[Pat
         raise ValueError(
             f"stack length {n} leaves no samples inside a margin of {margin}"
         )
+    return np.ascontiguousarray(stack.channels[:, margin : n - margin].T)
+
+
+def pattern_signals(stack: FilteredStack, margin: int | None = None) -> list[PatternSignal]:
+    """The rows of ``pattern_rows`` as labeled patterns; ``source_index`` is
+    the sample index a pattern was read at."""
+    rows = pattern_rows(stack, margin)
+    # the same number of samples is dropped from each end
+    first = (stack.n_samples - rows.shape[0]) // 2
     return [
-        PatternSignal(stack.channels[:, k].copy(), label=stack.label, source_index=k)
-        for k in range(margin, n - margin)
+        PatternSignal(row, label=stack.label, source_index=first + k)
+        for k, row in enumerate(rows)
     ]
+
+
+def build_dataset(
+    signals: list[PpgSignal], bands: HyperFilterConfig, stride: int
+) -> PatternDataset:
+    """Hyper-filter every labeled signal and keep every ``stride``-th pattern row."""
+    if not signals:
+        raise ValueError("no signals to build a dataset from (is n_per_class zero?)")
+    values, labels = [], []
+    for i, sig in enumerate(signals):
+        if sig.label is None:
+            raise ValueError(f"signal {i} is unlabeled: every signal needs a class label")
+        rows = pattern_rows(hyper_filter(sig, bands))[::stride]
+        values.append(rows)
+        labels.append(np.full(rows.shape[0], LABEL_INDEX[sig.label]))
+    return PatternDataset(np.concatenate(values), np.concatenate(labels))

@@ -102,6 +102,13 @@ _DERIVED = (TrainParams, "seed")
 _LAYERS = (HyperFilterConfig, "layers")
 
 
+# The JSON values each scalar field type accepts; str and enum fields accept
+# strings. An integer is a valid float and nothing else is converted: a string
+# is truthy and int() truncates, so a mistyped value would run a different
+# experiment. Python's bool is an int, so bools are told apart by type.
+_JSON_TYPES = {bool: bool, int: int, float: (int, float)}
+
+
 @dataclass(frozen=True)
 class _Layer:
     f_lo: float
@@ -172,9 +179,12 @@ def _from_json(value, hint, where: str, base):
             raise FormatError(f"{where}: expected a list, got {type(value).__name__}")
         item = get_args(hint)[0]
         return tuple(_from_json(v, item, f"{where}[{i}]", None) for i, v in enumerate(value))
+    accepted = _JSON_TYPES.get(hint, str)
+    if isinstance(value, bool) != (hint is bool) or not isinstance(value, accepted):
+        raise FormatError(f"{where}: expected {hint.__name__}, got {type(value).__name__} {value!r}")
     try:
         return hint(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{where}: {exc}") from exc
 
 
@@ -367,31 +377,13 @@ def load_model(path: str | Path) -> TdcnnModel:
 
 
 def save_boxes(path: str | Path, boxes: list[BoundingBox]) -> None:
-    dump_json(
-        path,
-        {"boxes": [{"x": b.x, "y": b.y, "w": b.w, "h": b.h} for b in boxes]},
-    )
+    dump_json(path, {"boxes": [dataclass_to_dict(b) for b in boxes]})
 
 
 def load_boxes(path: str | Path) -> list[BoundingBox]:
-    obj = load_json(path)
     where = str(path)
-    out = []
-    for i, raw in enumerate(_require(obj, "boxes", where)):
-        try:
-            out.append(
-                BoundingBox(
-                    x=float(_require(raw, "x", f"{where}: boxes[{i}]")),
-                    y=float(_require(raw, "y", f"{where}: boxes[{i}]")),
-                    w=float(_require(raw, "w", f"{where}: boxes[{i}]")),
-                    h=float(_require(raw, "h", f"{where}: boxes[{i}]")),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, FormatError):
-                raise
-            raise FormatError(f"{where}: boxes[{i}]: {exc}") from exc
-    return out
+    raw = _require(load_json(path), "boxes", where)
+    return list(_from_json(raw, tuple[BoundingBox, ...], f"{where}: boxes", None))
 
 
 def save_mask_pgm(path: str | Path, mask: np.ndarray) -> None:

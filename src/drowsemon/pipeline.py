@@ -18,12 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .band_search import RlParams, SearchSpace, fisher_score, q_learn
-from .filterbank import (
-    HyperFilterConfig,
-    PatternDataset,
-    hyper_filter,
-    pattern_signals,
-)
+from .filterbank import HyperFilterConfig, PatternDataset, build_dataset
 from .persist import (
     FormatError,
     dataclass_from_dict,
@@ -220,19 +215,6 @@ def generate_signals(config: PipelineConfig) -> list[PpgSignal]:
                 add_noise(clean, gen.noise, derive_seed("noise", config.seed, class_idx, i))
             )
     return signals
-
-
-def build_dataset(
-    signals: list[PpgSignal], bands: HyperFilterConfig, stride: int
-) -> PatternDataset:
-    """Hyper-filter every signal and keep every ``stride``-th pattern."""
-    if not signals:
-        raise ValueError("no signals to build a dataset from (is n_per_class zero?)")
-    patterns = []
-    for sig in signals:
-        stack = hyper_filter(sig, bands)
-        patterns.extend(pattern_signals(stack)[::stride])
-    return PatternDataset.from_patterns(patterns)
 
 
 class ArtifactWriter:

@@ -480,9 +480,58 @@ def _adam_step(
         p -= hp.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
-def _accuracy_from_scores(scores: np.ndarray, labels: np.ndarray) -> float:
-    pred = (scores > 0.5).astype(np.int64)
-    return float(np.mean(pred == labels))
+def _val_accuracy(model, dataset: PatternDataset, seed: int):
+    """Callback: ``model``'s accuracy on the validation rows of the seeded split."""
+    _, val_idx = split_indices(len(dataset), seed)
+    x_val = dataset.values[val_idx]
+    y_val = dataset.labels[val_idx]
+    return lambda: float(np.mean((predict_wakeful_scores(model, x_val) > 0.5) == y_val))
+
+
+def _adam_train(
+    arrays: list[np.ndarray],
+    loss_grad,
+    val_accuracy,
+    dataset: PatternDataset,
+    params: TrainParams,
+    rng: np.random.Generator,
+    best_acc: float,
+) -> tuple[float, list[tuple[int, float, float]]]:
+    """Seeded Adam on the training rows of the 80/20 split, for both classifiers.
+
+    Each epoch shuffles the rows with ``rng``, steps ``arrays`` in place on
+    ``loss_grad(rows)`` (the batch loss and one gradient per array), then
+    scores them with ``val_accuracy()``. A snapshot is kept whenever it beats
+    ``best_acc`` and is written back into ``arrays`` at the end. Returns its
+    accuracy and the history rows (epoch, mean train loss, validation accuracy).
+    """
+    counts = dataset.class_counts()
+    if any(c == 0 for c in counts.values()):
+        raise ValueError(f"training needs both classes, got counts {counts}")
+    # both classes present means n >= 2, which leaves at least one row on
+    # each side of the split
+    train_idx, _ = split_indices(len(dataset), params.seed)
+    m = [np.zeros_like(a) for a in arrays]
+    v = [np.zeros_like(a) for a in arrays]
+    best = [a.copy() for a in arrays]
+    history: list[tuple[int, float, float]] = []
+    t_step = 0
+    for epoch in range(params.epochs):
+        order = rng.permutation(train_idx.size)
+        losses = []
+        for start in range(0, train_idx.size, params.batch_size):
+            loss, grads = loss_grad(train_idx[order[start : start + params.batch_size]])
+            t_step += 1
+            _adam_step(arrays, grads, m, v, t_step, params)
+            losses.append(loss)
+        val_acc = val_accuracy()
+        history.append((epoch, float(np.mean(losses)), val_acc))
+        if val_acc > best_acc:
+            best_acc = val_acc
+            best = [a.copy() for a in arrays]
+    for a, b in zip(arrays, best):
+        a[...] = b
+    return best_acc, history
 
 
 def train(
@@ -494,46 +543,22 @@ def train(
     input model is never mutated; with ``epochs=0`` the returned model is an
     identical copy. Fully deterministic given ``params.seed``.
     """
-    counts = dataset.class_counts()
-    if any(c == 0 for c in counts.values()):
-        raise ValueError(f"training needs both classes, got counts {counts}")
-
     rng = np.random.default_rng([params.seed, 3])
-    train_idx, val_idx = split_indices(len(dataset), params.seed)
     work = clone_model(model)
-    history: list[tuple[int, float, float]] = []
-    if params.epochs == 0:
-        return work, history
-    if train_idx.size == 0 or val_idx.size == 0:
-        raise ValueError(f"dataset of {len(dataset)} rows is too small for an 80/20 split")
 
-    m, v = zeros_like_model(work), zeros_like_model(work)
-    work_arrays = model_arrays(work)
-    m_arrays, v_arrays = model_arrays(m), model_arrays(v)
-    x_val = dataset.values[val_idx]
-    y_val = dataset.labels[val_idx]
+    def loss_grad(rows: np.ndarray) -> tuple[float, list[np.ndarray]]:
+        # drawn after the epoch's permutation, from the same generator
+        dropout_seed = int(rng.integers(0, 2**62))
+        loss, grads = _loss_and_grad_arrays(
+            work, dataset.values[rows][:, None, :], dataset.labels[rows],
+            train_mode=True, seed=dropout_seed,
+        )
+        return loss, model_arrays(grads)
 
-    best_model = clone_model(work)
-    best_acc = -1.0
-    t_step = 0
-    for epoch in range(params.epochs):
-        order = rng.permutation(train_idx.size)
-        losses = []
-        for start in range(0, train_idx.size, params.batch_size):
-            rows = train_idx[order[start : start + params.batch_size]]
-            xb = dataset.values[rows][:, None, :]
-            yb = dataset.labels[rows]
-            dropout_seed = int(rng.integers(0, 2**62))
-            loss, grads = _loss_and_grad_arrays(work, xb, yb, train_mode=True, seed=dropout_seed)
-            t_step += 1
-            _adam_step(work_arrays, model_arrays(grads), m_arrays, v_arrays, t_step, params)
-            losses.append(loss)
-        val_acc = _accuracy_from_scores(predict_wakeful_scores(work, x_val), y_val)
-        history.append((epoch, float(np.mean(losses)), val_acc))
-        if val_acc > best_acc:
-            best_acc = val_acc
-            best_model = clone_model(work)
-    return best_model, history
+    val_accuracy = _val_accuracy(work, dataset, params.seed)
+    # -1 makes the first epoch's model the first snapshot
+    _, history = _adam_train(model_arrays(work), loss_grad, val_accuracy, dataset, params, rng, -1.0)
+    return work, history
 
 
 def assess(model: TdcnnModel, pattern: PatternSignal) -> Assessment:
@@ -601,13 +626,6 @@ def train_baseline_mlp(
     Returns the best-validation snapshot and its validation accuracy; with
     ``epochs=0`` that is simply the untrained model's accuracy.
     """
-    counts = dataset.class_counts()
-    if any(c == 0 for c in counts.values()):
-        raise ValueError(f"training needs both classes, got counts {counts}")
-    train_idx, val_idx = split_indices(len(dataset), params.seed)
-    if train_idx.size == 0 or val_idx.size == 0:
-        raise ValueError(f"dataset of {len(dataset)} rows is too small for an 80/20 split")
-
     in_dim = dataset.n_channels
     n_classes = len(INDEX_LABEL)
     init_rng = np.random.default_rng([params.seed, 1])
@@ -617,33 +635,15 @@ def train_baseline_mlp(
         w2=_glorot(init_rng, (n_classes, _MLP_HIDDEN), _MLP_HIDDEN, n_classes),
         b2=np.zeros(n_classes),
     )
-    x_val = dataset.values[val_idx]
-    y_val = dataset.labels[val_idx]
 
-    def val_accuracy(mdl: MlpModel) -> float:
-        scores = _mlp_probs(mdl, x_val)[:, LABEL_INDEX[Label.WAKEFUL]]
-        return _accuracy_from_scores(scores, y_val)
+    def loss_grad(rows: np.ndarray) -> tuple[float, list[np.ndarray]]:
+        return _mlp_loss_grad(model, dataset.values[rows], dataset.labels[rows])
 
-    best_model = MlpModel(*(a.copy() for a in (model.w1, model.b1, model.w2, model.b2)))
-    best_acc = val_accuracy(model)
-
-    rng = np.random.default_rng([params.seed, 2])
+    val_accuracy = _val_accuracy(model, dataset, params.seed)
     arrays = [model.w1, model.b1, model.w2, model.b2]
-    m = [np.zeros_like(a) for a in arrays]
-    v = [np.zeros_like(a) for a in arrays]
-    t_step = 0
-    for _ in range(params.epochs):
-        order = rng.permutation(train_idx.size)
-        for start in range(0, train_idx.size, params.batch_size):
-            rows = train_idx[order[start : start + params.batch_size]]
-            loss, grads = _mlp_loss_grad(model, dataset.values[rows], dataset.labels[rows])
-            t_step += 1
-            _adam_step(arrays, grads, m, v, t_step, params)
-        acc = val_accuracy(model)
-        if acc > best_acc:
-            best_acc = acc
-            best_model = MlpModel(*(a.copy() for a in arrays))
-    return best_model, best_acc
+    rng = np.random.default_rng([params.seed, 2])
+    best_acc, _ = _adam_train(arrays, loss_grad, val_accuracy, dataset, params, rng, val_accuracy())
+    return model, best_acc
 
 
 def predict_wakeful_scores(model, values: np.ndarray) -> np.ndarray:

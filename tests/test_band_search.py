@@ -13,7 +13,7 @@ from drowsemon.band_search import (
     q_learn,
     reward,
 )
-from drowsemon.filterbank import HyperFilterConfig
+from drowsemon.filterbank import HyperFilterConfig, hyper_filter, pattern_signals
 from drowsemon.signal_gen import Label, PpgSignal
 
 
@@ -81,6 +81,18 @@ class TestReward:
         drowsy_only = [s for s in tones if s.label is Label.DROWSY]
         with pytest.raises(ValueError, match="both classes"):
             reward(config, drowsy_only)
+
+    def test_is_fisher_score_of_the_class_pattern_rows(self, tones):
+        config = HyperFilterConfig(((1.0, 10.0), (2.0, 8.0)), bands_per_layer=3)
+        by_class = {
+            label: np.stack([
+                p.values for s in tones if s.label is label
+                for p in pattern_signals(hyper_filter(s, config))
+            ])
+            for label in (Label.DROWSY, Label.WAKEFUL)
+        }
+        # bitwise: a reward over differently laid-out rows rounds differently
+        assert reward(config, tones) == fisher_score(by_class[Label.DROWSY], by_class[Label.WAKEFUL])
 
     def test_unlabeled_signal_rejected(self, tones):
         config = HyperFilterConfig(((1.0, 10.0),), bands_per_layer=3)

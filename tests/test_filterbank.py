@@ -11,8 +11,10 @@ from drowsemon.filterbank import (
     HyperFilterConfig,
     SignalTooShortError,
     apply_filter,
+    build_dataset,
     design_bandpass,
     hyper_filter,
+    pattern_rows,
     pattern_signals,
     subband_edges,
 )
@@ -201,23 +203,54 @@ def synthetic_stack(n_channels=33, n_samples=1000, seed=0, taps=101):
     return FilteredStack(rng.normal(size=(n_channels, n_samples)), meta, fs=100.0, label=Label.WAKEFUL)
 
 
-class TestPatternSignals:
+def stacked_pattern_signals(stack, margin=None):
+    return np.stack([p.values for p in pattern_signals(stack, margin=margin)])
+
+
+class PatternExtractionCases:
+    """Count, indexing and margin cases, run once per extraction path:
+    ``extract`` returns the retained patterns as a (rows, channels) matrix."""
+
+    extract = None
+
     def test_count_and_length(self):
         stack = synthetic_stack(n_channels=33, n_samples=1000)
-        patterns = pattern_signals(stack, margin=350)
-        assert len(patterns) == 300
-        assert all(p.values.size == 33 for p in patterns)
+        patterns = self.extract(stack, margin=350)
+        assert patterns.shape == (300, 33)
 
     def test_indexing_identity(self):
         stack = synthetic_stack(n_channels=7, n_samples=200, seed=3)
         margin = 40
-        patterns = pattern_signals(stack, margin=margin)
+        patterns = self.extract(stack, margin=margin)
         rng = np.random.default_rng(1)
         for _ in range(20):
             j = int(rng.integers(len(patterns)))
             c = int(rng.integers(7))
-            assert patterns[j].values[c] == stack.channels[c][margin + j]
-            assert patterns[j].source_index == margin + j
+            assert patterns[j][c] == stack.channels[c][margin + j]
+
+    def test_default_margin_is_half_kernel(self):
+        stack = synthetic_stack(n_samples=400, taps=101)
+        patterns = self.extract(stack)
+        assert len(patterns) == 400 - 2 * 50
+
+    def test_margin_too_large_rejected(self):
+        stack = synthetic_stack(n_samples=100)
+        with pytest.raises(ValueError, match="margin"):
+            self.extract(stack, margin=50)
+
+    def test_negative_margin_rejected(self):
+        stack = synthetic_stack(n_samples=100)
+        with pytest.raises(ValueError, match="margin"):
+            self.extract(stack, margin=-1)
+
+
+class TestPatternSignals(PatternExtractionCases):
+    extract = staticmethod(stacked_pattern_signals)
+
+    def test_source_index_is_sample_index(self):
+        stack = synthetic_stack(n_channels=7, n_samples=200, seed=3)
+        patterns = pattern_signals(stack, margin=40)
+        assert [p.source_index for p in patterns] == list(range(40, 160))
 
     def test_constant_channels_give_constant_patterns(self):
         meta = [ChannelMeta(0, i, 1.0, 2.0, 11) for i in range(4)]
@@ -226,21 +259,31 @@ class TestPatternSignals:
         for p in pattern_signals(stack, margin=5):
             assert np.array_equal(p.values, np.arange(4, dtype=float))
 
-    def test_default_margin_is_half_kernel(self):
-        stack = synthetic_stack(n_samples=400, taps=101)
-        patterns = pattern_signals(stack)
-        assert len(patterns) == 400 - 2 * 50
-
     def test_label_propagates(self):
         stack = synthetic_stack(n_samples=120)
         assert all(p.label is Label.WAKEFUL for p in pattern_signals(stack, margin=10))
 
-    def test_margin_too_large_rejected(self):
-        stack = synthetic_stack(n_samples=100)
-        with pytest.raises(ValueError, match="margin"):
-            pattern_signals(stack, margin=50)
 
-    def test_negative_margin_rejected(self):
-        stack = synthetic_stack(n_samples=100)
-        with pytest.raises(ValueError, match="margin"):
-            pattern_signals(stack, margin=-1)
+class TestPatternRows(PatternExtractionCases):
+    extract = staticmethod(pattern_rows)
+
+    def test_c_contiguous_and_bitwise_equal_to_pattern_signals(self):
+        signal = PpgSignal(np.random.default_rng(4).normal(size=1500), 100.0, Label.DROWSY)
+        stack = hyper_filter(signal, HyperFilterConfig(((1.0, 10.0), (2.0, 6.0)), bands_per_layer=4))
+        rows = pattern_rows(stack)
+        assert rows.flags.c_contiguous
+        expected = np.stack([p.values for p in pattern_signals(stack)])
+        assert rows.shape == expected.shape
+        assert rows.tobytes() == expected.tobytes()
+
+
+class TestBuildDataset:
+    def test_no_signals_rejected(self):
+        with pytest.raises(ValueError, match="no signals"):
+            build_dataset([], HyperFilterConfig(((1.0, 10.0),), bands_per_layer=3), 1)
+
+    def test_unlabeled_signal_rejected(self):
+        samples = np.random.default_rng(5).normal(size=800)
+        signals = [PpgSignal(samples, 100.0, Label.DROWSY), PpgSignal(samples, 100.0, None)]
+        with pytest.raises(ValueError, match="class label"):
+            build_dataset(signals, HyperFilterConfig(((1.0, 10.0),), bands_per_layer=3), 1)

@@ -179,6 +179,12 @@ class TestBoxesAndMasks:
         with pytest.raises(FormatError, match=r"boxes\[0\]"):
             load_boxes(path)
 
+    def test_mistyped_box_rejected(self, tmp_path):
+        path = tmp_path / "boxes.json"
+        path.write_text('{"boxes": [{"x": 0, "y": 0, "w": "2", "h": 3}]}\n')
+        with pytest.raises(FormatError, match=r"boxes\[0\]: w: expected float, got str"):
+            load_boxes(path)
+
     def test_mask_round_trip(self, tmp_path):
         mask = np.array([[0, 1, 2], [2, 1, 0]])
         path = tmp_path / "mask.pgm"

@@ -143,6 +143,22 @@ class TestConfig:
         with pytest.raises(FormatError, match=message):
             config_from_dict({"schema_version": 1, **doc})
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"search": {"enabled": "false"}}, "config: search: enabled: expected bool, got str"),
+            ({"train": {"epochs": 2.9}}, "config: train: epochs: expected int, got float"),
+            ({"train": {"lr": "1e-3"}}, "config: train: lr: expected float, got str"),
+            ({"seed": True}, "config: seed: expected int, got bool"),
+        ],
+    )
+    def test_mistyped_values_rejected(self, doc, message):
+        with pytest.raises(FormatError, match=message):
+            config_from_dict({"schema_version": 1, **doc})
+        # a JSON integer is still a valid float
+        config = config_from_dict({"schema_version": 1, "train": {"lr": 1}})
+        assert config.train.lr == 1.0 and isinstance(config.train.lr, float)
+
     def test_non_object_document_rejected(self):
         with pytest.raises(FormatError, match="config: expected an object, got list"):
             config_from_dict([1, 2])

@@ -25,6 +25,7 @@ from drowsemon.tdcnn import (
     parameter_count,
     predict_wakeful_scores,
     receptive_field,
+    split_indices,
     train,
     train_baseline_mlp,
 )
@@ -81,6 +82,13 @@ def separable_dataset(n_rows=400, length=33, sigma=0.1, seed=0):
     values = np.concatenate([drowsy, wakeful])
     labels = np.array([0] * half + [1] * (n_rows - half))
     return PatternDataset(values, labels)
+
+
+def val_accuracy(model, dataset, seed):
+    """Accuracy on the validation rows of the seeded 80/20 split."""
+    _, val_idx = split_indices(len(dataset), seed)
+    scores = predict_wakeful_scores(model, dataset.values[val_idx])
+    return float(np.mean((scores > 0.5) == dataset.labels[val_idx]))
 
 
 def scored_model(score):
@@ -312,6 +320,16 @@ class TestTrain:
         with pytest.raises(ValueError, match="both classes"):
             train(model, dataset, TrainParams(epochs=1, seed=0))
 
+    def test_returns_the_best_epoch(self):
+        # random labels and a large step: validation accuracy falls after epoch 0
+        rng = np.random.default_rng(3)
+        dataset = PatternDataset(rng.normal(size=(60, 12)), np.arange(60) % 2)
+        model = init_model(TINY_ARCH, seed=2)
+        out, history = train(model, dataset, TrainParams(epochs=3, seed=3, lr=0.03))
+        best = max(acc for _, _, acc in history)
+        assert history[-1][2] < best
+        assert val_accuracy(out, dataset, 3) == best
+
 
 class TestAssess:
     def test_score_030_is_drowsy(self):
@@ -414,6 +432,19 @@ class TestMlpBaseline:
         assert a1 == a2
         for x, y in zip((m1.w1, m1.b1, m1.w2, m1.b2), (m2.w1, m2.b1, m2.w2, m2.b2)):
             assert np.array_equal(x, y)
+
+    def test_single_class_rejected(self):
+        values = np.random.default_rng(0).normal(size=(20, 8))
+        dataset = PatternDataset(values, np.zeros(20, dtype=int))
+        with pytest.raises(ValueError, match="both classes"):
+            train_baseline_mlp(dataset, TrainParams(epochs=1, seed=0))
+
+    def test_accuracy_is_the_returned_models(self):
+        # random labels and a large step: the last epoch is not the best one
+        rng = np.random.default_rng(0)
+        dataset = PatternDataset(rng.normal(size=(80, 12)), np.arange(80) % 2)
+        mlp, acc = train_baseline_mlp(dataset, TrainParams(epochs=3, seed=0, lr=0.03))
+        assert val_accuracy(mlp, dataset, 0) == acc
 
     def test_predict_scores_dispatch(self):
         dataset = separable_dataset(n_rows=40, length=12)
