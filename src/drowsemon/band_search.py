@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .filterbank import HyperFilterConfig, build_dataset
+from .filterbank import PPG_BAND, HyperFilterConfig, PatternDataset, _max_taps, build_dataset
 from .signal_gen import LABEL_INDEX, Label, PpgSignal
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "RlParams",
     "SpaceTooLargeError",
     "fisher_score",
+    "dataset_reward",
     "reward",
     "neighbors",
     "q_learn",
@@ -41,10 +42,10 @@ class SpaceTooLargeError(ValueError):
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Grid-quantized space of layer edge pairs within ``bounds``.
+    """Grid-quantized space of layer edge pairs within ``PPG_BAND``.
 
     Every representable layer is (lo, hi) with both edges on the grid,
-    ``hi - lo >= min_width_hz``, inside the bounds. ``bands_per_layer`` is
+    ``hi - lo >= min_width_hz``, inside the band. ``bands_per_layer`` is
     carried along so that each point of the space is a complete
     HyperFilterConfig.
     """
@@ -52,7 +53,6 @@ class SearchSpace:
     grid_hz: float = 0.5
     min_width_hz: float = 1.0
     n_layers: int = 1
-    bounds: tuple[float, float] = (1.0, 10.0)
     bands_per_layer: int = 11
 
     def __post_init__(self) -> None:
@@ -62,15 +62,13 @@ class SearchSpace:
             raise ValueError("min_width_hz must be >= grid_hz")
         if self.n_layers < 1:
             raise ValueError("n_layers must be >= 1")
-        if not self.bounds[0] < self.bounds[1]:
-            raise ValueError(f"bounds must be increasing, got {self.bounds}")
 
     @property
     def n_steps(self) -> int:
-        return int(math.floor((self.bounds[1] - self.bounds[0]) / self.grid_hz + _GRID_TOL))
+        return int(math.floor((PPG_BAND[1] - PPG_BAND[0]) / self.grid_hz + _GRID_TOL))
 
     def edge_value(self, i: int) -> float:
-        return self.bounds[0] + i * self.grid_hz
+        return PPG_BAND[0] + i * self.grid_hz
 
     def _min_width_steps(self) -> int:
         return int(math.ceil(self.min_width_hz / self.grid_hz - _GRID_TOL))
@@ -99,7 +97,7 @@ class SearchSpace:
         for lo, hi in config.layers:
             ij = []
             for edge in (lo, hi):
-                steps = (edge - self.bounds[0]) / self.grid_hz
+                steps = (edge - PPG_BAND[0]) / self.grid_hz
                 i = round(steps)
                 if abs(steps - i) > 1e-6 or not 0 <= i <= self.n_steps:
                     raise ValueError(f"edge {edge} Hz is not on the search grid")
@@ -152,7 +150,7 @@ class RlParams:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
 
 
-def fisher_score(class_a: np.ndarray, class_b: np.ndarray, eps: float = _FISHER_EPS) -> float:
+def fisher_score(class_a: np.ndarray, class_b: np.ndarray) -> float:
     """Mean per-dimension Fisher ratio (mu_a - mu_b)^2 / (var_a + var_b + eps).
 
     Scale-invariant: rescaling both classes by a common factor squares both
@@ -163,20 +161,43 @@ def fisher_score(class_a: np.ndarray, class_b: np.ndarray, eps: float = _FISHER_
     if a.shape[1] != b.shape[1]:
         raise ValueError("class matrices must share the feature dimension")
     num = (a.mean(axis=0) - b.mean(axis=0)) ** 2
-    den = a.var(axis=0) + b.var(axis=0) + eps
+    den = a.var(axis=0) + b.var(axis=0) + _FISHER_EPS
     return float(np.mean(num / den))
 
 
-def reward(config: HyperFilterConfig, labeled_signals: list[PpgSignal]) -> float:
-    """Class separability of the pattern rows a band layout produces."""
-    dataset = build_dataset(labeled_signals, config, 1)
+def dataset_reward(dataset: PatternDataset) -> float:
+    """Class separability of a dataset: the Fisher score of its Drowsy rows
+    against its Wakeful rows."""
     if 0 in dataset.class_counts().values():
         raise ValueError("reward requires signals from both classes")
     drowsy = dataset.labels == LABEL_INDEX[Label.DROWSY]
     class_a, class_b = dataset.values[drowsy], dataset.values[~drowsy]
-    # the class matrices copy every row: free the whole one before scoring
+    # the class matrices copy every row: when the caller keeps no reference,
+    # this frees the whole one before scoring
     del dataset
     return fisher_score(class_a, class_b)
+
+
+def reward(config: HyperFilterConfig, labeled_signals: list[PpgSignal]) -> float:
+    """Class separability of the pattern rows a band layout produces."""
+    # passed on unbound, so that dataset_reward holds its only reference
+    return dataset_reward(build_dataset(labeled_signals, config, 1))
+
+
+def _fitted(space: SearchSpace, data: list[PpgSignal]) -> SearchSpace:
+    """``space`` with its minimum layer width raised to the narrowest grid
+    width whose kernels fit every signal in ``data``.
+
+    A layer's kernels only get shorter as it widens, so every wider layer
+    fits too, and a space whose layouts all fit comes back with the same
+    layer pairs.
+    """
+    for steps in range(space._min_width_steps(), space.n_steps + 1):
+        layer = HyperFilterConfig(((PPG_BAND[0], space.edge_value(steps)),), space.bands_per_layer)
+        if all(_max_taps(layer, s.fs) <= s.samples.size for s in data):
+            return replace(space, min_width_hz=steps * space.grid_hz)
+    shortest = min((s.samples.size for s in data), default=0)
+    raise ValueError(f"no band layout of the search space fits signals of {shortest} samples")
 
 
 def neighbors(config: HyperFilterConfig, space: SearchSpace) -> list[HyperFilterConfig]:
@@ -195,11 +216,13 @@ def q_learn(
     random layout. Returns the best layout ever visited plus the per-episode
     best-so-far reward history (monotone non-decreasing). Deterministic
     given ``params.seed``; rewards are memoized, so each distinct layout is
-    evaluated once per call.
+    evaluated once per call. Layers too narrow for their kernels to fit every
+    signal are left out of the space.
     """
     labels = {s.label for s in data}
     if not {Label.DROWSY, Label.WAKEFUL} <= labels:
         raise ValueError("q_learn requires signals from both classes")
+    space = _fitted(space, data)
 
     rng = np.random.default_rng(params.seed)
     cache: dict[IndexConfig, float] = {}
@@ -244,7 +267,9 @@ def q_learn(
 
 def enumerate_best(space: SearchSpace, data: list[PpgSignal]) -> HyperFilterConfig:
     """Exhaustive argmax of the reward; ties keep the lexicographically
-    smallest edge tuple. Refuses spaces above the enumeration guard."""
+    smallest edge tuple. Layers too narrow for their kernels to fit every
+    signal are left out; refuses spaces above the enumeration guard."""
+    space = _fitted(space, data)
     total = space.size()
     if total > _ENUMERATION_GUARD:
         raise SpaceTooLargeError(

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import persist
-from .filterbank import HyperFilterConfig, hyper_filter, pattern_signals
+from .filterbank import HyperFilterConfig, hyper_filter, pattern_rows
 from .pipeline import (
     DEFAULT_LAYERS,
     ArtifactWriter,
@@ -32,8 +32,8 @@ from .pipeline import (
     synth_stage,
     train_stage,
 )
-from .signal_gen import PpgSignal
-from .tdcnn import assess_window
+from .signal_gen import INDEX_LABEL, PpgSignal
+from .tdcnn import _verdict, assess_window
 from .vision import (
     cc_attention,
     filter_salient,
@@ -164,11 +164,9 @@ def _cmd_assess(args) -> int:
     else:
         window = n
     windows = []
-    scores = []
     for start in range(0, n - window + 1, window):
         chunk = PpgSignal(signal.samples[start : start + window], signal.fs, signal.label)
-        stack = hyper_filter(chunk, bands)
-        patterns = pattern_signals(stack)
+        patterns = pattern_rows(hyper_filter(chunk, bands))
         verdict = assess_window(model, patterns)
         windows.append(
             {
@@ -179,15 +177,14 @@ def _cmd_assess(args) -> int:
                 "n_patterns": len(patterns),
             }
         )
-        scores.append(verdict.score)
     if not windows:
         raise ValueError(f"signal of {n} samples is shorter than one {window}-sample window")
-    overall = float(np.mean(scores))
+    overall = float(np.mean([w["score"] for w in windows]))
     result = {
         "windows": windows,
         "overall": {
             "score": overall,
-            "label": "Drowsy" if overall <= 0.5 else "Wakeful",
+            "label": INDEX_LABEL[_verdict(overall)].value,
         },
     }
     _write_result(args, "assessment.json", result)

@@ -266,16 +266,17 @@ def subband_edges(layer: tuple[float, float], n_bands: int) -> list[tuple[float,
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _band_kernels(config: HyperFilterConfig, fs: float) -> tuple[list[FilterKernel], list[ChannelMeta]]:
-    kernels: list[FilterKernel] = []
-    meta: list[ChannelMeta] = []
+def _sub_bands(config: HyperFilterConfig):
+    """(layer, band, f_lo, f_hi, transition) of every channel, in channel order."""
     for layer_idx, layer in enumerate(config.layers):
         for band_idx, (lo, hi) in enumerate(subband_edges(layer, config.bands_per_layer)):
-            transition = min(_MAX_TRANSITION_HZ, (hi - lo) / 2)
-            kern = design_bandpass(lo, hi, fs, transition)
-            kernels.append(kern)
-            meta.append(ChannelMeta(layer_idx, band_idx, lo, hi, kern.taps.size))
-    return kernels, meta
+            yield layer_idx, band_idx, lo, hi, min(_MAX_TRANSITION_HZ, (hi - lo) / 2)
+
+
+def _max_taps(config: HyperFilterConfig, fs: float) -> int:
+    """Tap count of the layout's longest kernel at ``fs``, by the tap rule
+    alone: no kernel is designed."""
+    return max(_tap_count(fs, transition) for *_, transition in _sub_bands(config))
 
 
 def hyper_filter(signal: PpgSignal, config: HyperFilterConfig) -> FilteredStack:
@@ -285,13 +286,15 @@ def hyper_filter(signal: PpgSignal, config: HyperFilterConfig) -> FilteredStack:
     label is propagated. Raises SignalTooShortError when the signal cannot
     absorb the longest kernel.
     """
-    kernels, meta = _band_kernels(config, signal.fs)
-    max_taps = max(k.taps.size for k in kernels)
+    max_taps = _max_taps(config, signal.fs)
     if signal.samples.size < max_taps:
         raise SignalTooShortError(
             f"hyper-filtering this band layout needs at least {max_taps} samples, "
             f"got {signal.samples.size}"
         )
+    bands = list(_sub_bands(config))
+    kernels = [design_bandpass(lo, hi, signal.fs, tr) for _, _, lo, hi, tr in bands]
+    meta = [ChannelMeta(*sub[:4], k.taps.size) for sub, k in zip(bands, kernels)]
     channels = np.stack([apply_filter(k, signal).samples for k in kernels])
     return FilteredStack(channels, meta, fs=signal.fs, label=signal.label)
 

@@ -193,23 +193,31 @@ def _from_json(value, hint, where: str, base):
 # ---------------------------------------------------------------------------
 
 
+def _sample_header(fs: float, label: Label | None) -> str:
+    """First line of a signal or stack CSV: '# fs=<hz>,label=<name>'."""
+    return f"# fs={_fmt(fs)},label={label.value if label is not None else ''}"
+
+
+def _read_sample_header(path, lines: list[str], kind: str) -> tuple[float, Label | None]:
+    """``fs`` and label from the first of ``lines`` of a ``kind`` file."""
+    if not lines:
+        raise FormatError(f"{path}:1: empty {kind} file")
+    match = re.fullmatch(r"#\s*fs=([^,]+),label=(.*)", lines[0].strip())
+    if not match:
+        raise FormatError(f"{path}:1: expected header '# fs=<hz>,label=<name>'")
+    return _parse_float(match.group(1), f"{path}:1"), _parse_label(match.group(2), f"{path}:1")
+
+
 def save_signal_csv(path: str | Path, signal: PpgSignal) -> None:
     """Header comment line '# fs=<hz>,label=<name>' then one sample per row."""
-    label = signal.label.value if signal.label is not None else ""
-    lines = [f"# fs={_fmt(signal.fs)},label={label}"]
+    lines = [_sample_header(signal.fs, signal.label)]
     lines.extend(_fmt(v) for v in signal.samples)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_signal_csv(path: str | Path) -> PpgSignal:
     lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise FormatError(f"{path}:1: empty signal file")
-    match = re.fullmatch(r"#\s*fs=([^,]+),label=(.*)", lines[0].strip())
-    if not match:
-        raise FormatError(f"{path}:1: expected header '# fs=<hz>,label=<name>'")
-    fs = _parse_float(match.group(1), f"{path}:1")
-    label = _parse_label(match.group(2), f"{path}:1")
+    fs, label = _read_sample_header(path, lines, "signal")
     samples = []
     for lineno, line in enumerate(lines[1:], start=2):
         text = line.strip()
@@ -240,8 +248,7 @@ def load_hyper_config(path: str | Path) -> HyperFilterConfig:
 def save_stack_csv(path: str | Path, stack: FilteredStack) -> None:
     """Comment lines carry fs/label and per-channel band metadata; data rows
     hold one sample per row with one column per channel."""
-    label = stack.label.value if stack.label is not None else ""
-    lines = [f"# fs={_fmt(stack.fs)},label={label}"]
+    lines = [_sample_header(stack.fs, stack.label)]
     for i, m in enumerate(stack.channel_meta):
         lines.append(
             f"# channel={i},layer={m.layer},band={m.band},"
@@ -254,13 +261,7 @@ def save_stack_csv(path: str | Path, stack: FilteredStack) -> None:
 
 def load_stack_csv(path: str | Path) -> FilteredStack:
     lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise FormatError(f"{path}:1: empty stack file")
-    match = re.fullmatch(r"#\s*fs=([^,]+),label=(.*)", lines[0].strip())
-    if not match:
-        raise FormatError(f"{path}:1: expected header '# fs=<hz>,label=<name>'")
-    fs = _parse_float(match.group(1), f"{path}:1")
-    label = _parse_label(match.group(2), f"{path}:1")
+    fs, label = _read_sample_header(path, lines, "stack")
 
     meta: list[ChannelMeta] = []
     rows: list[list[float]] = []

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .band_search import RlParams, SearchSpace, fisher_score, q_learn
+from .band_search import RlParams, SearchSpace, dataset_reward, q_learn
 from .filterbank import HyperFilterConfig, PatternDataset, build_dataset
 from .persist import (
     FormatError,
@@ -32,9 +32,9 @@ from .persist import (
 from .plots import svg_line_chart, write_series_csv
 from .signal_gen import (
     DROWSY_PRESET,
+    INDEX_LABEL,
     WAKEFUL_PRESET,
     AnsState,
-    Label,
     NoiseSpec,
     PpgSignal,
     add_noise,
@@ -44,6 +44,7 @@ from .tdcnn import (
     ArchSpec,
     TdcnnModel,
     TrainParams,
+    _verdict,
     init_model,
     predict_wakeful_scores,
     split_indices,
@@ -182,18 +183,16 @@ def eval_report(model, dataset: PatternDataset) -> dict:
     """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    scores = predict_wakeful_scores(model, dataset.values)
-    pred = (scores > 0.5).astype(np.int64)
+    pred = _verdict(predict_wakeful_scores(model, dataset.values))
     labels = dataset.labels
     confusion = [
         [int(np.sum((labels == g) & (pred == p))) for p in (0, 1)] for g in (0, 1)
     ]
-    per_class = {}
-    for idx, lab in ((0, Label.DROWSY), (1, Label.WAKEFUL)):
-        total = int(np.sum(labels == idx))
-        per_class[lab.value] = (
-            float(np.sum((labels == idx) & (pred == idx)) / total) if total else None
-        )
+    # a class's accuracy is the diagonal share of its confusion row
+    per_class = {
+        lab.value: row[i] / sum(row) if sum(row) else None
+        for i, (lab, row) in enumerate(zip(INDEX_LABEL, confusion))
+    }
     return {
         "per_class_accuracy": per_class,
         "overall_accuracy": float(np.mean(pred == labels)),
@@ -215,6 +214,14 @@ def generate_signals(config: PipelineConfig) -> list[PpgSignal]:
                 add_noise(clean, gen.noise, derive_seed("noise", config.seed, class_idx, i))
             )
     return signals
+
+
+def _emit_series(emit, csv_rel, svg_rel, header, x, series, title, x_label, y_label) -> None:
+    """Write the named ``series`` over ``x`` as a CSV (columns ``header``,
+    values as ``repr`` of floats) and as an SVG line chart."""
+    rows = [[xv, *(repr(float(v)) for v in vs)] for xv, *vs in zip(x, *series.values())]
+    emit(csv_rel, write_series_csv, header, rows)
+    emit(svg_rel, svg_line_chart, x, series, title, x_label, y_label)
 
 
 class ArtifactWriter:
@@ -278,20 +285,10 @@ def search_stage(
         },
     )
     if history:
-        emit(
-            "reward_history.csv",
-            write_series_csv,
-            ["episode", "best_reward"],
-            [[ep, repr(float(r))] for ep, r in history],
-        )
-        emit(
-            "reward_history.svg",
-            svg_line_chart,
-            [ep for ep, _ in history],
-            {"best reward": [r for _, r in history]},
-            "Band-layout search",
-            "episode",
-            "best reward",
+        _emit_series(
+            emit, "reward_history.csv", "reward_history.svg", ["episode", "best_reward"],
+            [ep for ep, _ in history], {"best reward": [r for _, r in history]},
+            "Band-layout search", "episode", "best reward",
         )
     return bands, best_reward
 
@@ -323,23 +320,11 @@ def train_stage(
     model, history = train(model0, dataset, tparams)
     emit("model.json", save_model, model)
     if history:
-        emit(
-            "loss_history.csv",
-            write_series_csv,
-            ["epoch", "train_loss", "val_accuracy"],
-            [[ep, repr(float(l)), repr(float(a))] for ep, l, a in history],
-        )
-        emit(
-            "loss_curve.svg",
-            svg_line_chart,
+        _emit_series(
+            emit, "loss_history.csv", "loss_curve.svg", ["epoch", "train_loss", "val_accuracy"],
             [ep for ep, _, _ in history],
-            {
-                "train loss": [l for _, l, _ in history],
-                "val accuracy": [a for _, _, a in history],
-            },
-            "Training history",
-            "epoch",
-            "value",
+            {"train loss": [l for _, l, _ in history], "val accuracy": [a for _, _, a in history]},
+            "Training history", "epoch", "value",
         )
     _, val_idx = split_indices(len(dataset), tparams.seed)
     return model, history, PatternDataset(dataset.values[val_idx], dataset.labels[val_idx])
@@ -379,21 +364,11 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
         signals = synth_stage(config, emit)
         if signals:
             first = signals[0]
-            t_axis = [i / first.fs for i in range(first.samples.size)]
-            emit(
-                "signal_trace.csv",
-                write_series_csv,
-                ["t_s", "value"],
-                [[t, repr(float(v))] for t, v in zip(t_axis, first.samples)],
-            )
-            emit(
-                "signal_trace.svg",
-                svg_line_chart,
-                t_axis,
+            _emit_series(
+                emit, "signal_trace.csv", "signal_trace.svg", ["t_s", "value"],
+                [i / first.fs for i in range(first.samples.size)],
                 {first.label.value: list(first.samples)},
-                "Generated PPG trace",
-                "time [s]",
-                "amplitude",
+                "Generated PPG trace", "time [s]", "amplitude",
             )
         timings[stage] = time.perf_counter() - started
 
@@ -408,9 +383,7 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
         stage = "dataset"
         started = time.perf_counter()
         dataset = dataset_stage(config, signals, bands, emit)
-        metrics["reward"] = fisher_score(
-            dataset.values[dataset.labels == 0], dataset.values[dataset.labels == 1]
-        )
+        metrics["reward"] = dataset_reward(dataset)
         timings[stage] = time.perf_counter() - started
 
         stage = "train"

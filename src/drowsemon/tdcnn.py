@@ -145,9 +145,14 @@ class Assessment:
     def __post_init__(self) -> None:
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must be in [0, 1], got {self.score}")
-        expected = Label.DROWSY if self.score <= 0.5 else Label.WAKEFUL
-        if self.label is not expected:
+        if self.label is not INDEX_LABEL[_verdict(self.score)]:
             raise ValueError(f"label {self.label} inconsistent with score {self.score}")
+
+
+def _verdict(scores):
+    """The decision rule as label indices: a wakefulness score at or below
+    0.5 reads as Drowsy, above it as Wakeful. Takes a score or an array."""
+    return np.where(np.asarray(scores) > 0.5, LABEL_INDEX[Label.WAKEFUL], LABEL_INDEX[Label.DROWSY])
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
@@ -296,20 +301,32 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _cross_entropy(probs: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of softmax rows ``probs`` at the true classes ``y``,
+    and its gradient with respect to the logits."""
+    rows = np.arange(y.size)
+    loss = float(-np.mean(np.log(np.maximum(probs[rows, y], _LOG_FLOOR))))
+    dlogits = probs.copy()
+    dlogits[rows, y] -= 1.0
+    return loss, dlogits / y.size
+
+
 def _forward_batch(
     model: TdcnnModel,
     x: np.ndarray,
     train_mode: bool = False,
-    rng: np.random.Generator | None = None,
+    seed: int = 0,
     keep_cache: bool = False,
 ):
     """Run the stack on (batch, 1, time) input; optionally keep per-block caches.
 
+    With ``train_mode`` on, spatial dropout masks are drawn from ``seed``.
     With ``keep_cache`` it returns ``(probs, pooled, caches, h)``: each block's
     cache starts with that block's input, and ``h`` is the last block's output.
     """
     arch = model.arch
     p = arch.dropout_rate
+    rng = np.random.default_rng(seed) if train_mode else None
     h = x
     caches = []
     for blk, dilation in zip(model.blocks, arch.dilation_schedule):
@@ -319,7 +336,6 @@ def _forward_batch(
         act = np.maximum(norm, 0.0)
         mask = None
         if train_mode and p > 0.0:
-            assert rng is not None, "train-mode forward needs a seeded generator"
             mask = (rng.random((x.shape[0], arch.channels)) >= p) / (1.0 - p)
             branch = act * mask[:, :, None]
         else:
@@ -342,14 +358,18 @@ def _forward_batch(
     return probs
 
 
-def _pattern_rows(patterns: list[PatternSignal]) -> np.ndarray:
-    """Stack pattern values into a (rows, time) array."""
-    lengths = {np.asarray(p.values).size for p in patterns}
-    if len(lengths) != 1:
+def _pattern_rows(patterns) -> np.ndarray:
+    """Stack 1-D pattern vectors into a (rows, time) array: ``PatternSignal``s
+    or the rows of a ``pattern_rows`` matrix."""
+    rows = [np.asarray(p.values if isinstance(p, PatternSignal) else p, dtype=np.float64)
+            for p in patterns]
+    shapes = {r.shape for r in rows}
+    if len(shapes) != 1:
         raise ValueError("all patterns in a batch must share one length")
-    if 0 in lengths:
-        raise ValueError("pattern must contain at least one value")
-    return np.stack([np.asarray(p.values, dtype=np.float64) for p in patterns])
+    (shape,) = shapes
+    if len(shape) != 1 or shape[0] == 0:
+        raise ValueError("each pattern must be a 1-D vector of at least one value")
+    return np.stack(rows)
 
 
 def forward(
@@ -360,9 +380,7 @@ def forward(
     With ``train_mode`` on, spatial dropout masks are drawn from ``seed``,
     so repeated calls with the same seed agree bitwise.
     """
-    rng = np.random.default_rng(seed) if train_mode else None
-    probs = _forward_batch(model, _pattern_rows([pattern])[:, None, :], train_mode=train_mode, rng=rng)
-    return probs[0]
+    return _forward_batch(model, _pattern_rows([pattern])[:, None, :], train_mode, seed)[0]
 
 
 def block_activations(model: TdcnnModel, pattern: PatternSignal) -> list[np.ndarray]:
@@ -380,19 +398,9 @@ def _loss_and_grad_arrays(
     train_mode: bool = False,
     seed: int = 0,
 ) -> tuple[float, TdcnnModel]:
-    rng = np.random.default_rng(seed) if train_mode else None
-    probs, pooled, caches, h = _forward_batch(
-        model, x, train_mode=train_mode, rng=rng, keep_cache=True
-    )
-    batch = x.shape[0]
-    picked = np.maximum(probs[np.arange(batch), y], _LOG_FLOOR)
-    loss = float(-np.mean(np.log(picked)))
-
+    probs, pooled, caches, h = _forward_batch(model, x, train_mode, seed, keep_cache=True)
+    loss, dlogits = _cross_entropy(probs, y)
     grads = zeros_like_model(model)
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(batch), y] = 1.0
-    dlogits = (probs - onehot) / batch
-
     grads.head_w += dlogits.T @ pooled
     grads.head_b += dlogits.sum(axis=0)
     dpooled = dlogits @ model.head_w
@@ -453,10 +461,10 @@ def loss_and_grad(
     return _loss_and_grad_arrays(model, x, y, train_mode=train_mode, seed=seed)
 
 
-def split_indices(n: int, seed: int, train_frac: float = 0.8) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded shuffle split shared by the CNN and the MLP baseline."""
+def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded 80/20 shuffle split shared by the CNN and the MLP baseline."""
     perm = np.random.default_rng(seed).permutation(n)
-    n_train = int(n * train_frac)
+    n_train = int(n * 0.8)
     return perm[:n_train], perm[n_train:]
 
 
@@ -485,7 +493,7 @@ def _val_accuracy(model, dataset: PatternDataset, seed: int):
     _, val_idx = split_indices(len(dataset), seed)
     x_val = dataset.values[val_idx]
     y_val = dataset.labels[val_idx]
-    return lambda: float(np.mean((predict_wakeful_scores(model, x_val) > 0.5) == y_val))
+    return lambda: float(np.mean(_verdict(predict_wakeful_scores(model, x_val)) == y_val))
 
 
 def _adam_train(
@@ -495,19 +503,23 @@ def _adam_train(
     dataset: PatternDataset,
     params: TrainParams,
     rng: np.random.Generator,
-    best_acc: float,
+    best_acc: float | None,
 ) -> tuple[float, list[tuple[int, float, float]]]:
     """Seeded Adam on the training rows of the 80/20 split, for both classifiers.
 
     Each epoch shuffles the rows with ``rng``, steps ``arrays`` in place on
     ``loss_grad(rows)`` (the batch loss and one gradient per array), then
     scores them with ``val_accuracy()``. A snapshot is kept whenever it beats
-    ``best_acc`` and is written back into ``arrays`` at the end. Returns its
-    accuracy and the history rows (epoch, mean train loss, validation accuracy).
+    ``best_acc`` (``None``: the untrained arrays' accuracy) and is written back
+    into ``arrays`` at the end. Returns its accuracy and the history rows
+    (epoch, mean train loss, validation accuracy).
     """
     counts = dataset.class_counts()
     if any(c == 0 for c in counts.values()):
         raise ValueError(f"training needs both classes, got counts {counts}")
+    # scored only now: a dataset without both classes is refused before any scoring
+    if best_acc is None:
+        best_acc = val_accuracy()
     # both classes present means n >= 2, which leaves at least one row on
     # each side of the split
     train_idx, _ = split_indices(len(dataset), params.seed)
@@ -566,16 +578,16 @@ def assess(model: TdcnnModel, pattern: PatternSignal) -> Assessment:
     return assess_window(model, [pattern])
 
 
-def assess_window(model: TdcnnModel, patterns: list[PatternSignal]) -> Assessment:
+def assess_window(model: TdcnnModel, patterns) -> Assessment:
     """Average the per-pattern scores of a window, then apply the same rule.
 
-    All patterns of the window go through one row-blocked inference call.
+    ``patterns`` are ``PatternSignal``s or the rows of a ``pattern_rows``
+    matrix; all of them go through one row-blocked inference call.
     """
-    if not patterns:
+    if len(patterns) == 0:
         raise ValueError("assess_window needs at least one pattern")
     score = float(np.mean(predict_wakeful_scores(model, _pattern_rows(patterns))))
-    label = Label.DROWSY if score <= 0.5 else Label.WAKEFUL
-    return Assessment(score=score, label=label)
+    return Assessment(score=score, label=INDEX_LABEL[_verdict(score)])
 
 
 # ---------------------------------------------------------------------------
@@ -593,29 +605,17 @@ class MlpModel:
     b2: np.ndarray  # (n_classes,)
 
 
-def _mlp_probs(model: MlpModel, values: np.ndarray) -> np.ndarray:
-    hidden = np.maximum(values @ model.w1.T + model.b1[None, :], 0.0)
-    logits = hidden @ model.w2.T + model.b2[None, :]
-    return _softmax_rows(logits)
+def _mlp_forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations and class probabilities of (rows, in_dim) input."""
+    hidden = np.maximum(x @ model.w1.T + model.b1[None, :], 0.0)
+    return hidden, _softmax_rows(hidden @ model.w2.T + model.b2[None, :])
 
 
 def _mlp_loss_grad(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[float, list[np.ndarray]]:
-    pre = x @ model.w1.T + model.b1[None, :]
-    hidden = np.maximum(pre, 0.0)
-    logits = hidden @ model.w2.T + model.b2[None, :]
-    probs = _softmax_rows(logits)
-    batch = x.shape[0]
-    picked = np.maximum(probs[np.arange(batch), y], _LOG_FLOOR)
-    loss = float(-np.mean(np.log(picked)))
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(batch), y] = 1.0
-    dlogits = (probs - onehot) / batch
-    dw2 = dlogits.T @ hidden
-    db2 = dlogits.sum(axis=0)
-    dhidden = (dlogits @ model.w2) * (pre > 0)
-    dw1 = dhidden.T @ x
-    db1 = dhidden.sum(axis=0)
-    return loss, [dw1, db1, dw2, db2]
+    hidden, probs = _mlp_forward(model, x)
+    loss, dlogits = _cross_entropy(probs, y)
+    dhidden = (dlogits @ model.w2) * (hidden > 0)
+    return loss, [dhidden.T @ x, dhidden.sum(axis=0), dlogits.T @ hidden, dlogits.sum(axis=0)]
 
 
 def train_baseline_mlp(
@@ -642,7 +642,7 @@ def train_baseline_mlp(
     val_accuracy = _val_accuracy(model, dataset, params.seed)
     arrays = [model.w1, model.b1, model.w2, model.b2]
     rng = np.random.default_rng([params.seed, 2])
-    best_acc, _ = _adam_train(arrays, loss_grad, val_accuracy, dataset, params, rng, val_accuracy())
+    best_acc, _ = _adam_train(arrays, loss_grad, val_accuracy, dataset, params, rng, None)
     return model, best_acc
 
 
@@ -655,7 +655,7 @@ def predict_wakeful_scores(model, values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     wakeful = LABEL_INDEX[Label.WAKEFUL]
     if isinstance(model, MlpModel):
-        return _mlp_probs(model, values)[:, wakeful]
+        return _mlp_forward(model, values)[1][:, wakeful]
     if isinstance(model, TdcnnModel):
         scores = np.empty(values.shape[0])
         for start in range(0, values.shape[0], _INFER_ROWS):

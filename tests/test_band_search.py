@@ -7,6 +7,7 @@ from drowsemon.band_search import (
     RlParams,
     SearchSpace,
     SpaceTooLargeError,
+    _fitted,
     enumerate_best,
     fisher_score,
     neighbors,
@@ -214,6 +215,34 @@ class TestQLearn:
         drowsy_only = [s for s in tones if s.label is Label.DROWSY]
         with pytest.raises(ValueError, match="both classes"):
             q_learn(THREE_CONFIG_SPACE, drowsy_only, RlParams(episodes=1, seed=0))
+
+
+class TestFittedSpace:
+    def pair(self, n_samples):
+        return [PpgSignal(np.zeros(n_samples), 100.0, label) for label in (Label.DROWSY, Label.WAKEFUL)]
+
+    def test_default_space_on_24s_signals_starts_at_35_hz(self):
+        space = SearchSpace()
+        fitted = _fitted(space, self.pair(2400))
+        assert len(space.layer_pairs()) == 153
+        assert fitted.min_width_hz == 3.5
+        assert len(fitted.layer_pairs()) == 78
+        assert set(fitted.layer_pairs()) <= set(space.layer_pairs())
+
+    def test_space_that_fits_keeps_its_pairs(self, tones):
+        assert _fitted(THREE_CONFIG_SPACE, tones).layer_pairs() == THREE_CONFIG_SPACE.layer_pairs()
+
+    def test_no_fitting_layout_names_the_sample_count(self):
+        with pytest.raises(ValueError, match="500 samples"):
+            q_learn(SearchSpace(), self.pair(500), RlParams(episodes=1, seed=0))
+        with pytest.raises(ValueError, match="500 samples"):
+            enumerate_best(SearchSpace(), self.pair(500))
+
+    def test_q_learn_visits_only_fitting_layouts(self):
+        space = SearchSpace(grid_hz=1.0, min_width_hz=1.0, bands_per_layer=3)
+        best, _ = q_learn(space, self.pair(1000), RlParams(episodes=2, steps_per_episode=2, seed=0))
+        ((lo, hi),) = best.layers
+        assert hi - lo >= 2.0
 
 
 class TestValidation:

@@ -6,12 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from drowsemon.band_search import dataset_reward
 from drowsemon.cli import build_parser, main
-from drowsemon.filterbank import HyperFilterConfig, PatternDataset
+from drowsemon.filterbank import HyperFilterConfig, PatternDataset, hyper_filter, pattern_signals
 from drowsemon.persist import (
     FormatError,
     dump_json,
     load_dataset_csv,
+    load_hyper_config,
     load_json,
     load_model,
     load_signal_csv,
@@ -19,6 +21,7 @@ from drowsemon.persist import (
     save_boxes,
     save_dataset_csv,
     save_mask_pgm,
+    save_model,
     save_signal_csv,
 )
 from drowsemon.pipeline import (
@@ -34,8 +37,15 @@ from drowsemon.pipeline import (
     eval_report,
     run_pipeline,
 )
-from drowsemon.signal_gen import DROWSY_PRESET, WAKEFUL_PRESET, NoiseSpec, generate_ppg
-from drowsemon.tdcnn import ArchSpec, MlpModel, TrainParams
+from drowsemon.signal_gen import DROWSY_PRESET, WAKEFUL_PRESET, NoiseSpec, PpgSignal, generate_ppg
+from drowsemon.tdcnn import (
+    ArchSpec,
+    MlpModel,
+    TrainParams,
+    assess_window,
+    init_model,
+    predict_wakeful_scores,
+)
 from drowsemon.vision import BoundingBox
 
 
@@ -89,6 +99,14 @@ class TestEvalReport:
         assert report["per_class_accuracy"]["Drowsy"] == pytest.approx(1 / 3)
         assert report["per_class_accuracy"]["Wakeful"] == 1.0
         assert report["confusion_matrix"] == [[1, 2], [0, 2]]
+
+    def test_score_of_exactly_half_reads_drowsy(self):
+        # zero input: equal logits, so the wakeful probability is exactly 0.5
+        dataset = PatternDataset(np.zeros((2, 1)), np.array([0, 1]))
+        assert np.all(predict_wakeful_scores(threshold_mlp(), dataset.values) == 0.5)
+        report = eval_report(threshold_mlp(), dataset)
+        assert report["confusion_matrix"] == [[1, 0], [1, 0]]
+        assert report["per_class_accuracy"] == {"Drowsy": 1.0, "Wakeful": 0.0}
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -205,6 +223,24 @@ class TestRunPipeline:
         assert "baseline_mlp" in metrics and "reward" in metrics
         model = load_model(out / "model.json")
         assert model.arch == config.arch
+
+    def test_reward_is_the_dataset_reward_of_dataset_csv(self, tmp_path):
+        manifest = run_pipeline(tiny_config(tmp_path / "run"))
+        dataset = load_dataset_csv(tmp_path / "run" / "dataset.csv")
+        assert manifest.metrics["reward"] == dataset_reward(dataset)
+
+    def test_default_config_with_search_completes(self, tmp_path):
+        base = default_config(out_dir=str(tmp_path / "run"))
+        config = replace(
+            base,
+            generation=replace(base.generation, n_per_class=1),
+            search=SearchConfig(enabled=True, episodes=1, steps_per_episode=2),
+            train=replace(base.train, epochs=1),
+        )
+        assert run_pipeline(config).status == "ok"
+        # 24 s signals fit no layer narrower than 3.5 Hz
+        for lo, hi in load_hyper_config(tmp_path / "run" / "bands.json").layers:
+            assert hi - lo >= 3.5
 
     def test_rerun_metrics_byte_identical(self, tmp_path):
         config_a = tiny_config(tmp_path / "a")
@@ -360,6 +396,21 @@ class TestCliCommands:
         result = json.loads(capsys.readouterr().out)
         assert len(result["windows"]) == 2
         assert result["overall"]["label"] in ("Drowsy", "Wakeful")
+
+    def test_assess_window_scores_are_the_library_verdicts(self, tmp_path, capsys):
+        cfg_path, config = self.write_config(tmp_path)
+        save_model(tmp_path / "model.json", init_model(config.arch, seed=1))
+        save_signal_csv(tmp_path / "sig.csv", generate_ppg(WAKEFUL_PRESET, 16.0, 100, seed=5))
+        assert main(["assess", "--model", str(tmp_path / "model.json"), "--signal",
+                     str(tmp_path / "sig.csv"), "--config", str(cfg_path), "--window-s", "8"]) == 0
+        windows = json.loads(capsys.readouterr().out)["windows"]
+        assert len(windows) == 2
+        model, sig = load_model(tmp_path / "model.json"), load_signal_csv(tmp_path / "sig.csv")
+        for w in windows:
+            chunk = sig.samples[round(w["start_s"] * sig.fs) : round(w["end_s"] * sig.fs)]
+            stack = hyper_filter(PpgSignal(chunk, sig.fs, sig.label), config.bands)
+            verdict = assess_window(model, pattern_signals(stack))
+            assert (w["score"], w["label"]) == (verdict.score, verdict.label.value)
 
     def test_salient_cli(self, tmp_path, capsys):
         boxes_path = tmp_path / "boxes.json"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -396,6 +397,15 @@ class TestAssessWindow:
         with pytest.raises(ValueError, match="length"):
             assess_window(init_model(TINY_ARCH, seed=0), patterns)
 
+    def test_matrix_rows_score_as_pattern_signals(self):
+        model = init_model(TINY_ARCH, seed=6)
+        values = np.random.default_rng(4).normal(size=(5, 14))
+        assert assess_window(model, values) == assess_window(model, [PatternSignal(v) for v in values])
+
+    def test_flat_vector_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            assess_window(init_model(TINY_ARCH, seed=0), np.ones(8))
+
     def test_window_score_is_mean_of_predicted_scores(self):
         model = init_model(ArchSpec(), seed=5)
         values = np.random.default_rng(2).normal(size=(_INFER_ROWS + 9, 33))
@@ -438,6 +448,13 @@ class TestMlpBaseline:
         dataset = PatternDataset(values, np.zeros(20, dtype=int))
         with pytest.raises(ValueError, match="both classes"):
             train_baseline_mlp(dataset, TrainParams(epochs=1, seed=0))
+
+    def test_zero_rows_refused_before_scoring(self):
+        dataset = PatternDataset(np.zeros((0, 8)), np.zeros(0, dtype=int))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="both classes"):
+                train_baseline_mlp(dataset, TrainParams(epochs=1, seed=0))
 
     def test_accuracy_is_the_returned_models(self):
         # random labels and a large step: the last epoch is not the best one
