@@ -62,6 +62,9 @@ class SearchSpace:
             raise ValueError("min_width_hz must be >= grid_hz")
         if self.n_layers < 1:
             raise ValueError("n_layers must be >= 1")
+        if self._min_width_steps() > self.n_steps:
+            band = f"{PPG_BAND[0]}-{PPG_BAND[1]} Hz band on a {self.grid_hz} Hz grid"
+            raise ValueError(f"no layer of min_width_hz={self.min_width_hz} fits the {band}")
 
     @property
     def n_steps(self) -> int:
@@ -168,8 +171,7 @@ def fisher_score(class_a: np.ndarray, class_b: np.ndarray) -> float:
 def dataset_reward(dataset: PatternDataset) -> float:
     """Class separability of a dataset: the Fisher score of its Drowsy rows
     against its Wakeful rows."""
-    if 0 in dataset.class_counts().values():
-        raise ValueError("reward requires signals from both classes")
+    dataset.require_both_classes()
     drowsy = dataset.labels == LABEL_INDEX[Label.DROWSY]
     class_a, class_b = dataset.values[drowsy], dataset.values[~drowsy]
     # the class matrices copy every row: when the caller keeps no reference,

@@ -195,6 +195,12 @@ class PatternDataset:
     def class_counts(self) -> dict[Label, int]:
         return {lab: int(np.sum(self.labels == i)) for i, lab in enumerate(INDEX_LABEL)}
 
+    def require_both_classes(self) -> None:
+        """Refuse a dataset with no row of some class."""
+        counts = {lab.value: n for lab, n in self.class_counts().items()}
+        if 0 in counts.values():
+            raise ValueError(f"the dataset needs both classes, got row counts {counts}")
+
 
 def _tap_count(fs: float, transition_hz: float) -> int:
     """Smallest odd integer >= 3.3 * fs / transition_hz."""

@@ -18,7 +18,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .filterbank import ChannelMeta, FilteredStack, HyperFilterConfig, PatternDataset
+from .filterbank import FilteredStack, HyperFilterConfig, PatternDataset
 from .signal_gen import INDEX_LABEL, LABEL_INDEX, Label, PpgSignal
 from .tdcnn import ArchSpec, TdcnnModel, TrainParams, init_model, model_arrays
 from .vision import BoundingBox
@@ -34,7 +34,6 @@ __all__ = [
     "save_hyper_config",
     "load_hyper_config",
     "save_stack_csv",
-    "load_stack_csv",
     "save_dataset_csv",
     "load_dataset_csv",
     "save_model",
@@ -79,12 +78,6 @@ def load_json(path: str | Path):
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
-
-
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise FormatError(f"{where}: missing field {key!r}")
-    return obj[key]
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +191,10 @@ def _sample_header(fs: float, label: Label | None) -> str:
     return f"# fs={_fmt(fs)},label={label.value if label is not None else ''}"
 
 
-def _read_sample_header(path, lines: list[str], kind: str) -> tuple[float, Label | None]:
-    """``fs`` and label from the first of ``lines`` of a ``kind`` file."""
+def _read_sample_header(path, lines: list[str]) -> tuple[float, Label | None]:
+    """``fs`` and label from the first of ``lines`` of a signal file."""
     if not lines:
-        raise FormatError(f"{path}:1: empty {kind} file")
+        raise FormatError(f"{path}:1: empty signal file")
     match = re.fullmatch(r"#\s*fs=([^,]+),label=(.*)", lines[0].strip())
     if not match:
         raise FormatError(f"{path}:1: expected header '# fs=<hz>,label=<name>'")
@@ -217,7 +210,7 @@ def save_signal_csv(path: str | Path, signal: PpgSignal) -> None:
 
 def load_signal_csv(path: str | Path) -> PpgSignal:
     lines = Path(path).read_text().splitlines()
-    fs, label = _read_sample_header(path, lines, "signal")
+    fs, label = _read_sample_header(path, lines)
     samples = []
     for lineno, line in enumerate(lines[1:], start=2):
         text = line.strip()
@@ -257,44 +250,6 @@ def save_stack_csv(path: str | Path, stack: FilteredStack) -> None:
     for row in stack.channels.T:
         lines.append(",".join(_fmt(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_stack_csv(path: str | Path) -> FilteredStack:
-    lines = Path(path).read_text().splitlines()
-    fs, label = _read_sample_header(path, lines, "stack")
-
-    meta: list[ChannelMeta] = []
-    rows: list[list[float]] = []
-    meta_re = re.compile(
-        r"#\s*channel=(\d+),layer=(\d+),band=(\d+),f_lo=([^,]+),f_hi=([^,]+),taps=(\d+)"
-    )
-    for lineno, line in enumerate(lines[1:], start=2):
-        text = line.strip()
-        if not text:
-            continue
-        if text.startswith("#"):
-            m = meta_re.fullmatch(text)
-            if not m:
-                raise FormatError(f"{path}:{lineno}: malformed channel metadata line")
-            meta.append(
-                ChannelMeta(
-                    layer=int(m.group(2)),
-                    band=int(m.group(3)),
-                    f_lo=_parse_float(m.group(4), f"{path}:{lineno}"),
-                    f_hi=_parse_float(m.group(5), f"{path}:{lineno}"),
-                    taps=int(m.group(6)),
-                )
-            )
-            continue
-        values = [_parse_float(v, f"{path}:{lineno}") for v in text.split(",")]
-        if len(values) != len(meta):
-            raise FormatError(
-                f"{path}:{lineno}: row has {len(values)} columns, expected {len(meta)}"
-            )
-        rows.append(values)
-    if not meta or not rows:
-        raise FormatError(f"{path}: stack file holds no channels or no samples")
-    return FilteredStack(np.array(rows).T, meta, fs=fs, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -343,25 +298,32 @@ def load_dataset_csv(path: str | Path) -> PatternDataset:
 # ---------------------------------------------------------------------------
 
 
+_MODEL_SCHEMA_VERSION = 1
+
+
+@dataclass(frozen=True)
+class _Checkpoint:
+    schema_version: int
+    arch: ArchSpec
+    weights: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if self.schema_version != _MODEL_SCHEMA_VERSION:
+            raise ValueError(f"unsupported schema_version {self.schema_version!r}")
+
+
 def save_model(path: str | Path, model: TdcnnModel) -> None:
     """Arch descriptor plus flat weights (block-major, then head), every real
     encoded as a round-trip decimal string."""
-    flat: list[str] = []
-    for arr in model_arrays(model):
-        flat.extend(_fmt(v) for v in arr.ravel())
-    dump_json(
-        path,
-        {"schema_version": 1, "arch": dataclass_to_dict(model.arch), "weights": flat},
-    )
+    flat = tuple(_fmt(v) for arr in model_arrays(model) for v in arr.ravel())
+    dump_json(path, dataclass_to_dict(_Checkpoint(_MODEL_SCHEMA_VERSION, model.arch, flat)))
 
 
 def load_model(path: str | Path) -> TdcnnModel:
-    obj = load_json(path)
     where = str(path)
-    arch = dataclass_from_dict(ArchSpec, _require(obj, "arch", where), f"{where}: arch")
-    raw = _require(obj, "weights", where)
-    flat = np.array([_parse_float(v, f"{where}: weights[{i}]") for i, v in enumerate(raw)])
-    model = init_model(arch, seed=0)
+    doc = dataclass_from_dict(_Checkpoint, load_json(path), where)
+    flat = np.array([_parse_float(v, f"{where}: weights[{i}]") for i, v in enumerate(doc.weights)])
+    model = init_model(doc.arch, seed=0)
     expected = sum(a.size for a in model_arrays(model))
     if flat.size != expected:
         raise FormatError(f"{where}: expected {expected} weights, got {flat.size}")
@@ -377,14 +339,17 @@ def load_model(path: str | Path) -> TdcnnModel:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _BoxFile:
+    boxes: tuple[BoundingBox, ...]
+
+
 def save_boxes(path: str | Path, boxes: list[BoundingBox]) -> None:
-    dump_json(path, {"boxes": [dataclass_to_dict(b) for b in boxes]})
+    dump_json(path, dataclass_to_dict(_BoxFile(tuple(boxes))))
 
 
 def load_boxes(path: str | Path) -> list[BoundingBox]:
-    where = str(path)
-    raw = _require(load_json(path), "boxes", where)
-    return list(_from_json(raw, tuple[BoundingBox, ...], f"{where}: boxes", None))
+    return list(dataclass_from_dict(_BoxFile, load_json(path), str(path)).boxes)
 
 
 def save_mask_pgm(path: str | Path, mask: np.ndarray) -> None:

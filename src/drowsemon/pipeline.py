@@ -298,9 +298,7 @@ def dataset_stage(
 ) -> PatternDataset:
     """Pattern rows of every signal under ``bands``; writes ``dataset.csv``."""
     dataset = build_dataset(signals, bands, config.pattern_stride)
-    counts = dataset.class_counts()
-    if any(c == 0 for c in counts.values()):
-        raise ValueError(f"dataset is missing a class: {counts}")
+    dataset.require_both_classes()
     emit("dataset.csv", save_dataset_csv, dataset)
     return dataset
 

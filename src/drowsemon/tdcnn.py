@@ -514,9 +514,7 @@ def _adam_train(
     into ``arrays`` at the end. Returns its accuracy and the history rows
     (epoch, mean train loss, validation accuracy).
     """
-    counts = dataset.class_counts()
-    if any(c == 0 for c in counts.values()):
-        raise ValueError(f"training needs both classes, got counts {counts}")
+    dataset.require_both_classes()
     # scored only now: a dataset without both classes is refused before any scoring
     if best_acc is None:
         best_acc = val_accuracy()

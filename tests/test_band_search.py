@@ -253,6 +253,9 @@ class TestValidation:
             SearchSpace(grid_hz=1.0, min_width_hz=0.5)
         with pytest.raises(ValueError):
             SearchSpace(n_layers=0)
+        band = r"1\.0-10\.0 Hz band on a 0\.5 Hz grid"
+        with pytest.raises(ValueError, match=rf"min_width_hz=9\.5 .* {band}"):
+            SearchSpace(grid_hz=0.5, min_width_hz=9.5)
 
     def test_rl_params_invariants(self):
         with pytest.raises(ValueError):

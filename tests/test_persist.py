@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from drowsemon.persist import (
     load_mask_pgm,
     load_model,
     load_signal_csv,
-    load_stack_csv,
     save_boxes,
     save_dataset_csv,
     save_hyper_config,
@@ -90,23 +91,14 @@ class TestStackRoundTrip:
         stack = hyper_filter(signal, HyperFilterConfig(((1.0, 10.0),), bands_per_layer=3))
         path = tmp_path / "stack.csv"
         save_stack_csv(path, stack)
-        loaded = load_stack_csv(path)
-        assert np.max(np.abs(loaded.channels - stack.channels)) <= 1e-12
-        assert np.array_equal(loaded.channels, stack.channels)  # repr round-trip is exact
-        assert loaded.channel_meta == stack.channel_meta
-        assert loaded.fs == stack.fs and loaded.label is stack.label
-
-    def test_ragged_row_rejected(self, tmp_path):
-        path = tmp_path / "stack.csv"
-        path.write_text(
-            "# fs=100.0,label=\n"
-            "# channel=0,layer=0,band=0,f_lo=1.0,f_hi=2.0,taps=11\n"
-            "# channel=1,layer=0,band=1,f_lo=2.0,f_hi=3.0,taps=11\n"
-            "0.5,1.5\n"
-            "0.25\n"
-        )
-        with pytest.raises(FormatError, match=r"stack\.csv:5"):
-            load_stack_csv(path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "# fs=100.0,label=Drowsy"
+        assert lines[1 : 1 + stack.n_channels] == [
+            f"# channel={i},layer={m.layer},band={m.band},f_lo={m.f_lo!r},f_hi={m.f_hi!r},taps={m.taps}"
+            for i, m in enumerate(stack.channel_meta)
+        ]
+        values = np.loadtxt(path, delimiter=",", comments="#")
+        assert np.array_equal(values, stack.channels.T)  # repr round-trip is exact
 
 
 class TestDatasetRoundTrip:
@@ -157,12 +149,31 @@ class TestModelRoundTrip:
         arch = ArchSpec(n_blocks=2, kernel_size=3, channels=4, dilation_schedule=(2, 4))
         path = tmp_path / "model.json"
         save_model(path, init_model(arch, seed=0))
-        import json
-
         obj = json.loads(path.read_text())
         obj["weights"] = obj["weights"][:-3]
         path.write_text(json.dumps(obj))
         with pytest.raises(FormatError, match="expected .* weights"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda obj: obj.update(optimizer="adam"), "unknown field 'optimizer'"),
+            (lambda obj: obj.update(schema_version=2), "unsupported schema_version 2"),
+            (lambda obj: obj.pop("schema_version"), "missing field 'schema_version'"),
+            (lambda obj: obj.update(weights=[float(w) for w in obj["weights"]]),
+             r"weights\[0\]: expected str, got float"),
+        ],
+        ids=["unknown-key", "schema-version-2", "no-schema-version", "numeric-weights"],
+    )
+    def test_lenient_checkpoint_refused(self, tmp_path, change, message):
+        arch = ArchSpec(n_blocks=2, kernel_size=3, channels=4, dilation_schedule=(2, 4))
+        path = tmp_path / "model.json"
+        save_model(path, init_model(arch, seed=0))
+        obj = json.loads(path.read_text())
+        change(obj)
+        path.write_text(json.dumps(obj))
+        with pytest.raises(FormatError, match=rf"model\.json: {message}"):
             load_model(path)
 
 
@@ -183,6 +194,15 @@ class TestBoxesAndMasks:
         path = tmp_path / "boxes.json"
         path.write_text('{"boxes": [{"x": 0, "y": 0, "w": "2", "h": 3}]}\n')
         with pytest.raises(FormatError, match=r"boxes\[0\]: w: expected float, got str"):
+            load_boxes(path)
+
+    def test_unknown_key_rejected(self, tmp_path):
+        path = tmp_path / "boxes.json"
+        save_boxes(path, [BoundingBox(0, 1, 5.5, 9.25)])
+        obj = json.loads(path.read_text())
+        obj["frame"] = [480, 640]
+        path.write_text(json.dumps(obj))
+        with pytest.raises(FormatError, match=r"boxes\.json: unknown field 'frame'"):
             load_boxes(path)
 
     def test_mask_round_trip(self, tmp_path):
