@@ -158,7 +158,7 @@ def _cmd_assess(args) -> int:
     bands = _bands_from_args(args)
     n = signal.samples.size
     if args.window_s is not None:
-        window = int(args.window_s * signal.fs)
+        window = round(args.window_s * signal.fs)
         if window < 1:
             raise ValueError(f"window of {args.window_s}s holds no samples at fs={signal.fs}")
     else:

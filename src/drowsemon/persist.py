@@ -11,10 +11,11 @@ from __future__ import annotations
 import csv
 import json
 import re
+from collections.abc import Callable
 from dataclasses import MISSING, astuple, dataclass, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import ClassVar, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -53,20 +54,24 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _parse_float(text: str, where: str) -> float:
+# The parsers call ``where()`` for the location of their text only to raise,
+# so a reader formats no location for the values that parse.
+
+
+def _parse_float(text: str, where: Callable[[], str]) -> float:
     try:
         return float(text)
     except ValueError as exc:
-        raise FormatError(f"{where}: expected a number, got {text!r}") from exc
+        raise FormatError(f"{where()}: expected a number, got {text!r}") from exc
 
 
-def _parse_label(text: str, where: str) -> Label | None:
+def _parse_label(text: str, where: Callable[[], str]) -> Label | None:
     if text == "":
         return None
     try:
         return Label(text)
     except ValueError as exc:
-        raise FormatError(f"{where}: unknown label {text!r}") from exc
+        raise FormatError(f"{where()}: unknown label {text!r}") from exc
 
 
 def dump_json(path: str | Path, obj) -> None:
@@ -110,9 +115,13 @@ class _Layer:
 
 def dataclass_to_dict(value):
     """JSON form of a value: a dataclass becomes an object with one key per
-    field, an enum its value, a tuple a list; anything else is kept."""
+    field (and ``schema_version`` when its class declares one), an enum its
+    value, a tuple a list; anything else is kept."""
     if is_dataclass(value):
         doc = {}
+        version = getattr(value, "schema_version", None)
+        if version is not None:
+            doc["schema_version"] = version
         for f in fields(value):
             key = (type(value), f.name)
             if key == _DERIVED:
@@ -135,12 +144,21 @@ def dataclass_from_dict(cls, doc, where: str, base=None):
 
     A field missing from ``doc`` takes its value from ``base`` or, without
     one, its default. A field with no default, and every field of an
-    architecture, must be present. A key that names no field is refused.
+    architecture, must be present. A key that names no field is refused. A
+    class that declares a ``schema_version`` requires exactly that version.
     """
     if not isinstance(doc, dict):
         raise FormatError(f"{where}: expected an object, got {type(doc).__name__}")
     known = [f for f in fields(cls) if (cls, f.name) != _DERIVED]
     names = {f.name for f in known}
+    version = getattr(cls, "schema_version", None)
+    if version is not None:
+        if "schema_version" not in doc:
+            raise FormatError(f"{where}: missing field 'schema_version'")
+        found = _from_json(doc["schema_version"], int, f"{where}: schema_version", None)
+        if found != version:
+            raise FormatError(f"{where}: unsupported schema_version {found!r}")
+        names.add("schema_version")
     for key in doc:
         if key not in names:
             raise FormatError(f"{where}: unknown field {key!r}")
@@ -171,7 +189,13 @@ def _from_json(value, hint, where: str, base):
         if not isinstance(value, list):
             raise FormatError(f"{where}: expected a list, got {type(value).__name__}")
         item = get_args(hint)[0]
-        return tuple(_from_json(v, item, f"{where}[{i}]", None) for i, v in enumerate(value))
+        try:
+            return tuple(_from_json(v, item, where, None) for v in value)
+        except FormatError:
+            # decode again naming each element, which raises at the first bad one
+            for i, v in enumerate(value):
+                _from_json(v, item, f"{where}[{i}]", None)
+            raise
     accepted = _JSON_TYPES.get(hint, str)
     if isinstance(value, bool) != (hint is bool) or not isinstance(value, accepted):
         raise FormatError(f"{where}: expected {hint.__name__}, got {type(value).__name__} {value!r}")
@@ -198,7 +222,8 @@ def _read_sample_header(path, lines: list[str]) -> tuple[float, Label | None]:
     match = re.fullmatch(r"#\s*fs=([^,]+),label=(.*)", lines[0].strip())
     if not match:
         raise FormatError(f"{path}:1: expected header '# fs=<hz>,label=<name>'")
-    return _parse_float(match.group(1), f"{path}:1"), _parse_label(match.group(2), f"{path}:1")
+    at = lambda: f"{path}:1"
+    return _parse_float(match.group(1), at), _parse_label(match.group(2), at)
 
 
 def save_signal_csv(path: str | Path, signal: PpgSignal) -> None:
@@ -216,7 +241,7 @@ def load_signal_csv(path: str | Path) -> PpgSignal:
         text = line.strip()
         if not text:
             continue
-        samples.append(_parse_float(text, f"{path}:{lineno}"))
+        samples.append(_parse_float(text, lambda: f"{path}:{lineno}"))
     return PpgSignal(np.array(samples), fs=fs, label=label)
 
 
@@ -283,11 +308,12 @@ def load_dataset_csv(path: str | Path) -> PatternDataset:
                 raise FormatError(
                     f"{path}:{lineno}: row has {len(row)} fields, expected {n_channels + 1}"
                 )
-            label = _parse_label(row[0], f"{path}:{lineno}")
+            at = lambda: f"{path}:{lineno}"
+            label = _parse_label(row[0], at)
             if label is None:
                 raise FormatError(f"{path}:{lineno}: dataset rows need a class label")
             labels.append(LABEL_INDEX[label])
-            values.append([_parse_float(v, f"{path}:{lineno}") for v in row[1:]])
+            values.append([_parse_float(v, at) for v in row[1:]])
     if not values:
         raise FormatError(f"{path}: dataset holds no rows")
     return PatternDataset(np.array(values), np.array(labels))
@@ -298,31 +324,26 @@ def load_dataset_csv(path: str | Path) -> PatternDataset:
 # ---------------------------------------------------------------------------
 
 
-_MODEL_SCHEMA_VERSION = 1
-
-
 @dataclass(frozen=True)
 class _Checkpoint:
-    schema_version: int
+    schema_version: ClassVar[int] = 1
     arch: ArchSpec
     weights: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if self.schema_version != _MODEL_SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema_version {self.schema_version!r}")
 
 
 def save_model(path: str | Path, model: TdcnnModel) -> None:
     """Arch descriptor plus flat weights (block-major, then head), every real
     encoded as a round-trip decimal string."""
     flat = tuple(_fmt(v) for arr in model_arrays(model) for v in arr.ravel())
-    dump_json(path, dataclass_to_dict(_Checkpoint(_MODEL_SCHEMA_VERSION, model.arch, flat)))
+    dump_json(path, dataclass_to_dict(_Checkpoint(model.arch, flat)))
 
 
 def load_model(path: str | Path) -> TdcnnModel:
     where = str(path)
     doc = dataclass_from_dict(_Checkpoint, load_json(path), where)
-    flat = np.array([_parse_float(v, f"{where}: weights[{i}]") for i, v in enumerate(doc.weights)])
+    flat = np.array(
+        [_parse_float(v, lambda: f"{where}: weights[{i}]") for i, v in enumerate(doc.weights)]
+    )
     model = init_model(doc.arch, seed=0)
     expected = sum(a.size for a in model_arrays(model))
     if flat.size != expected:

@@ -14,13 +14,13 @@ import json
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from .band_search import RlParams, SearchSpace, dataset_reward, q_learn
 from .filterbank import HyperFilterConfig, PatternDataset, build_dataset
 from .persist import (
-    FormatError,
     dataclass_from_dict,
     dataclass_to_dict,
     dump_json,
@@ -35,6 +35,7 @@ from .signal_gen import (
     INDEX_LABEL,
     WAKEFUL_PRESET,
     AnsState,
+    Label,
     NoiseSpec,
     PpgSignal,
     add_noise,
@@ -72,8 +73,6 @@ __all__ = [
     "run_pipeline",
 ]
 
-CONFIG_SCHEMA_VERSION = 1
-
 DEFAULT_LAYERS = ((1.0, 10.0), (1.0, 5.5), (5.5, 10.0))
 
 
@@ -81,12 +80,8 @@ class PipelineError(RuntimeError):
     """A pipeline stage failed; carries the stage name."""
 
     def __init__(self, stage: str, cause: Exception | str):
-        # args hold plain strings so instances pickle across processes
-        super().__init__(stage, str(cause))
+        super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
-
-    def __str__(self) -> str:
-        return f"stage '{self.args[0]}' failed: {self.args[1]}"
 
 
 @dataclass(frozen=True)
@@ -97,6 +92,14 @@ class GenerationConfig:
     drowsy: AnsState = DROWSY_PRESET
     wakeful: AnsState = WAKEFUL_PRESET
     noise: NoiseSpec = NoiseSpec()
+
+    def __post_init__(self) -> None:
+        for name, label in (("drowsy", Label.DROWSY), ("wakeful", Label.WAKEFUL)):
+            state = getattr(self, name)
+            if state.label is not label:
+                raise ValueError(
+                    f"{name}: preset must be labelled {label.value}, got {state.label.value}"
+                )
 
 
 @dataclass(frozen=True)
@@ -113,6 +116,7 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    schema_version: ClassVar[int] = 1
     seed: int = 7
     out_dir: str = "runs/default"
     generation: GenerationConfig = GenerationConfig()
@@ -131,6 +135,7 @@ class PipelineConfig:
 
 @dataclass
 class RunManifest:
+    schema_version: ClassVar[int] = 1
     config_hash: str
     status: str
     artifacts: list[str]
@@ -140,7 +145,7 @@ class RunManifest:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {"schema_version": CONFIG_SCHEMA_VERSION, **dataclass_to_dict(self)}
+        return dataclass_to_dict(self)
 
 
 def default_config(out_dir: str = "runs/default", seed: int = 7) -> PipelineConfig:
@@ -154,19 +159,13 @@ def derive_seed(*parts) -> int:
 
 
 def config_to_dict(config: PipelineConfig) -> dict:
-    return {"schema_version": CONFIG_SCHEMA_VERSION, **dataclass_to_dict(config)}
+    return dataclass_to_dict(config)
 
 
 def config_from_dict(obj: dict, where: str = "config") -> PipelineConfig:
     """Config from its document; an object left out, or a field left out of
     a partial object, keeps the value of ``default_config()``."""
-    if not isinstance(obj, dict):
-        raise FormatError(f"{where}: expected an object, got {type(obj).__name__}")
-    version = obj.get("schema_version")
-    if version != CONFIG_SCHEMA_VERSION:
-        raise FormatError(f"{where}: unsupported schema_version {version!r}")
-    body = {k: v for k, v in obj.items() if k != "schema_version"}
-    return dataclass_from_dict(PipelineConfig, body, where, base=default_config())
+    return dataclass_from_dict(PipelineConfig, obj, where, base=default_config())
 
 
 def config_hash(config: PipelineConfig) -> str:

@@ -22,6 +22,7 @@ number of rows scored.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -50,7 +51,6 @@ __all__ = [
     "parameter_count",
     "model_arrays",
     "clone_model",
-    "zeros_like_model",
     "split_indices",
 ]
 
@@ -204,26 +204,8 @@ def parameter_count(model: TdcnnModel) -> int:
     return sum(a.size for a in model_arrays(model))
 
 
-def _map_model(model: TdcnnModel, fn) -> TdcnnModel:
-    blocks = [
-        BlockWeights(
-            conv_w=fn(b.conv_w),
-            conv_b=fn(b.conv_b),
-            gamma=fn(b.gamma),
-            beta=fn(b.beta),
-            proj_w=None if b.proj_w is None else fn(b.proj_w),
-        )
-        for b in model.blocks
-    ]
-    return TdcnnModel(arch=model.arch, blocks=blocks, head_w=fn(model.head_w), head_b=fn(model.head_b))
-
-
 def clone_model(model: TdcnnModel) -> TdcnnModel:
-    return _map_model(model, np.copy)
-
-
-def zeros_like_model(model: TdcnnModel) -> TdcnnModel:
-    return _map_model(model, np.zeros_like)
+    return copy.deepcopy(model)
 
 
 def receptive_field(arch: ArchSpec) -> int:
@@ -400,37 +382,29 @@ def _loss_and_grad_arrays(
 ) -> tuple[float, TdcnnModel]:
     probs, pooled, caches, h = _forward_batch(model, x, train_mode, seed, keep_cache=True)
     loss, dlogits = _cross_entropy(probs, y)
-    grads = zeros_like_model(model)
-    grads.head_w += dlogits.T @ pooled
-    grads.head_b += dlogits.sum(axis=0)
     dpooled = dlogits @ model.head_w
     t_len = h.shape[2]
     dh = np.repeat(dpooled[:, :, None], t_len, axis=2) / t_len
 
-    for blk, gblk, dilation, cache in zip(
-        reversed(model.blocks),
-        reversed(grads.blocks),
-        reversed(model.arch.dilation_schedule),
-        reversed(caches),
+    grad_blocks = []
+    for blk, dilation, cache in zip(
+        reversed(model.blocks), reversed(model.arch.dilation_schedule), reversed(caches)
     ):
         inp, norm, xhat, s, mask = cache
-        d_out = dh
         if blk.proj_w is None:
-            d_inp_res = d_out
+            dproj = None
+            d_inp_res = dh
         else:
-            gblk.proj_w += np.tensordot(d_out, inp, axes=([0, 2], [0, 2]))
-            d_inp_res = np.matmul(blk.proj_w.T, d_out)
-        d_branch = d_out if mask is None else d_out * mask[:, :, None]
+            dproj = np.tensordot(dh, inp, axes=([0, 2], [0, 2]))
+            d_inp_res = np.matmul(blk.proj_w.T, dh)
+        d_branch = dh if mask is None else dh * mask[:, :, None]
         d_norm = d_branch * (norm > 0)
         d_conv, dgamma, dbeta = _norm_backward(d_norm, xhat, s, blk.gamma)
-        gblk.gamma += dgamma
-        gblk.beta += dbeta
         d_inp_conv, dw, db = _causal_conv_backward(d_conv, inp, blk.conv_w, dilation)
-        gblk.conv_w += dw
-        gblk.conv_b += db
+        grad_blocks.append(BlockWeights(dw, db, dgamma, dbeta, dproj))
         dh = d_inp_conv + d_inp_res
 
-    return loss, grads
+    return loss, TdcnnModel(model.arch, grad_blocks[::-1], dlogits.T @ pooled, dlogits.sum(axis=0))
 
 
 def _batch_to_arrays(batch: list[tuple[PatternSignal, Label]]) -> tuple[np.ndarray, np.ndarray]:

@@ -64,6 +64,21 @@ class TestSignalRoundTrip:
         with pytest.raises(FormatError, match=r"sig\.csv:3"):
             load_signal_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# fs=abc,label=Drowsy\n1.0\n", "sig.csv:1: expected a number, got 'abc'"),
+            ("# fs=100.0,label=Sleepy\n1.0\n", "sig.csv:1: unknown label 'Sleepy'"),
+            ("# fs=100.0,label=Drowsy\n1.0\n\nx\n", "sig.csv:4: expected a number, got 'x'"),
+        ],
+    )
+    def test_error_message_exact(self, tmp_path, text, message):
+        path = tmp_path / "sig.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError) as info:
+            load_signal_csv(path)
+        assert str(info.value) == f"{tmp_path}/{message}"
+
 
 class TestHyperConfigRoundTrip:
     def test_round_trip(self, tmp_path):
@@ -117,6 +132,23 @@ class TestDatasetRoundTrip:
         with pytest.raises(FormatError, match=r"dataset\.csv:3"):
             load_dataset_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("label,c0\nDrowsy,1.0\nSleepy,2.0\n", "dataset.csv:3: unknown label 'Sleepy'"),
+            ("label,c0\nDrowsy,1.0\n,2.0\n", "dataset.csv:3: dataset rows need a class label"),
+            ("label,c0,c1\nDrowsy,1.0,2.0\nWakeful,1.0,zz\n",
+             "dataset.csv:3: expected a number, got 'zz'"),
+            ("label,c0,c1\nDrowsy,1.0\n", "dataset.csv:2: row has 2 fields, expected 3"),
+        ],
+    )
+    def test_error_message_exact(self, tmp_path, text, message):
+        path = tmp_path / "dataset.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError) as info:
+            load_dataset_csv(path)
+        assert str(info.value) == f"{tmp_path}/{message}"
+
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "dataset.csv"
         path.write_text("label,c0\n")
@@ -163,8 +195,15 @@ class TestModelRoundTrip:
             (lambda obj: obj.pop("schema_version"), "missing field 'schema_version'"),
             (lambda obj: obj.update(weights=[float(w) for w in obj["weights"]]),
              r"weights\[0\]: expected str, got float"),
+            (lambda obj: obj["weights"].__setitem__(7, 0.5),
+             r"weights\[7\]: expected str, got float 0\.5$"),
+            (lambda obj: obj["weights"].__setitem__(5, "abc"),
+             r"weights\[5\]: expected a number, got 'abc'$"),
+            (lambda obj: obj.update(schema_version="1"),
+             r"schema_version: expected int, got str '1'$"),
         ],
-        ids=["unknown-key", "schema-version-2", "no-schema-version", "numeric-weights"],
+        ids=["unknown-key", "schema-version-2", "no-schema-version", "numeric-weights",
+             "one-numeric-weight", "unparsable-weight", "string-schema-version"],
     )
     def test_lenient_checkpoint_refused(self, tmp_path, change, message):
         arch = ArchSpec(n_blocks=2, kernel_size=3, channels=4, dilation_schedule=(2, 4))
@@ -195,6 +234,13 @@ class TestBoxesAndMasks:
         path.write_text('{"boxes": [{"x": 0, "y": 0, "w": "2", "h": 3}]}\n')
         with pytest.raises(FormatError, match=r"boxes\[0\]: w: expected float, got str"):
             load_boxes(path)
+
+    def test_mistyped_box_named_by_index(self, tmp_path):
+        path = tmp_path / "boxes.json"
+        path.write_text('{"boxes": [{"x": 0, "y": 0, "w": 1, "h": 1}, {"x": 0, "y": 0, "w": "2", "h": 3}]}\n')
+        with pytest.raises(FormatError) as info:
+            load_boxes(path)
+        assert str(info.value) == f"{path}: boxes[1]: w: expected float, got str '2'"
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "boxes.json"

@@ -27,6 +27,7 @@ from drowsemon.pipeline import (
     GenerationConfig,
     PipelineConfig,
     PipelineError,
+    RunManifest,
     SearchConfig,
     config_from_dict,
     config_hash,
@@ -132,6 +133,45 @@ class TestConfig:
         doc["schema_version"] = 99
         with pytest.raises(Exception, match="schema_version"):
             config_from_dict(doc)
+
+    def test_missing_schema_version_rejected(self):
+        doc = config_to_dict(default_config())
+        del doc["schema_version"]
+        with pytest.raises(FormatError) as info:
+            config_from_dict(doc)
+        assert str(info.value) == "config: missing field 'schema_version'"
+
+    @pytest.mark.parametrize(
+        "version, message",
+        [
+            ("1", "config: schema_version: expected int, got str '1'"),
+            (True, "config: schema_version: expected int, got bool True"),
+        ],
+    )
+    def test_schema_version_must_be_an_integer(self, version, message):
+        with pytest.raises(FormatError) as info:
+            config_from_dict({"schema_version": version})
+        assert str(info.value) == message
+
+    def test_documents_carry_schema_version(self):
+        assert config_to_dict(default_config())["schema_version"] == 1
+        manifest = RunManifest(config_hash="h", status="ok", artifacts=[], metrics={}, timings={})
+        assert manifest.to_dict()["schema_version"] == 1
+
+    @pytest.mark.parametrize(
+        "swapped, message",
+        [
+            (("drowsy", "wakeful"), "drowsy: preset must be labelled Drowsy, got Wakeful"),
+            (("wakeful",), "wakeful: preset must be labelled Wakeful, got Drowsy"),
+        ],
+    )
+    def test_swapped_preset_labels_rejected(self, swapped, message):
+        generation = config_to_dict(default_config())["generation"]
+        flip = {"Drowsy": "Wakeful", "Wakeful": "Drowsy"}
+        doc = {name: {**generation[name], "label": flip[generation[name]["label"]]} for name in swapped}
+        with pytest.raises(FormatError) as info:
+            config_from_dict({"schema_version": 1, "generation": doc})
+        assert str(info.value) == f"config: generation: {message}"
 
     def test_hash_pinned(self):
         assert config_hash(default_config()) == (
@@ -410,6 +450,17 @@ class TestCliCommands:
             verdict = assess_window(model, pattern_signals(stack))
             assert (w["score"], w["label"]) == (verdict.score, verdict.label.value)
 
+    def test_assess_minimum_window_on_default_layout(self, tmp_path, capsys):
+        # 16.15 s is the shortest window the default layout's longest kernel
+        # fits; 16.15 * 100 is 1614.999..., which must still give 1615 samples
+        save_model(tmp_path / "model.json", init_model(ArchSpec(), seed=1))
+        save_signal_csv(tmp_path / "sig.csv", generate_ppg(DROWSY_PRESET, 33.0, 100, seed=2))
+        assert main(["assess", "--model", str(tmp_path / "model.json"), "--signal",
+                     str(tmp_path / "sig.csv"), "--window-s", "16.15"]) == 0
+        windows = json.loads(capsys.readouterr().out)["windows"]
+        assert [(w["start_s"], w["end_s"]) for w in windows] == [(0.0, 16.15), (16.15, 32.3)]
+        assert all(w["n_patterns"] >= 1 for w in windows)
+
     def test_salient_cli(self, tmp_path, capsys):
         boxes_path = tmp_path / "boxes.json"
         save_boxes(boxes_path, [BoundingBox(0, 0, 5, 10), BoundingBox(0, 0, 3, 3)])
@@ -451,7 +502,14 @@ class TestCliCommands:
         rc = main(["run", "--config", str(cfg_path)])
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["error"]["stage"] == "dataset"
+        assert err == {
+            "error": {
+                "message": "stage 'dataset' failed: no signals to build a dataset from "
+                "(is n_per_class zero?)",
+                "stage": "dataset",
+                "type": "PipelineError",
+            }
+        }
 
     def test_run_then_rerun_same_bytes(self, tmp_path, capsys):
         cfg_path, config = self.write_config(tmp_path)

@@ -146,6 +146,16 @@ class TestInitModel:
             ArchSpec(**kwargs)
 
 
+class TestCloneModel:
+    def test_clone_is_equal_and_shares_no_memory(self):
+        model = init_model(TINY_ARCH, seed=1)
+        clone = clone_model(model)
+        originals, copies = model_arrays(model), model_arrays(clone)
+        assert clone.arch == model.arch and len(copies) == len(originals)
+        assert all(np.array_equal(a, c) for a, c in zip(originals, copies))
+        assert not any(np.shares_memory(c, a) for c in copies for a in originals)
+
+
 class TestForward:
     def test_probability_simplex(self):
         model = init_model(TINY_ARCH, seed=1)
@@ -221,6 +231,12 @@ class TestLossAndGrad:
         _, grads = loss_and_grad(model, tiny_batch())
         for a, g in zip(model_arrays(model), model_arrays(grads)):
             assert a.shape == g.shape
+
+    def test_gradients_share_no_memory_with_model(self):
+        model = init_model(TINY_ARCH, seed=4)
+        _, grads = loss_and_grad(model, tiny_batch(), train_mode=True, seed=3)
+        originals = model_arrays(model)
+        assert not any(np.shares_memory(g, a) for g in model_arrays(grads) for a in originals)
 
     def test_empty_batch_rejected(self):
         model = init_model(TINY_ARCH, seed=4)
