@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -158,6 +159,8 @@ def _cmd_assess(args) -> int:
     bands = _bands_from_args(args)
     n = signal.samples.size
     if args.window_s is not None:
+        if not math.isfinite(args.window_s * signal.fs):
+            raise ValueError(f"window of {args.window_s}s is not a finite number of samples at fs={signal.fs}")
         window = round(args.window_s * signal.fs)
         if window < 1:
             raise ValueError(f"window of {args.window_s}s holds no samples at fs={signal.fs}")

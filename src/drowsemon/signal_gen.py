@@ -175,6 +175,8 @@ def generate_ppg(state: AnsState, duration_s: float, fs: float, seed: int) -> Pp
     if not (math.isfinite(fs) and fs >= _MIN_FS_HZ):
         raise ValueError(f"fs must be >= {_MIN_FS_HZ} Hz, got {fs}")
 
+    if not math.isfinite(duration_s * fs):
+        raise ValueError(f"duration_s * fs must be finite, got {duration_s} * {fs}")
     n = math.floor(duration_s * fs)
     samples = np.zeros(n)
     if n > 0:

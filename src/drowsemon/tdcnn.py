@@ -18,6 +18,10 @@ with it. Inference (``predict_wakeful_scores``, ``assess``,
 ``assess_window``) runs that one forward pass over blocks of at most
 ``_INFER_ROWS`` rows, which bounds the activations held at once whatever the
 number of rows scored.
+
+The forward pass keeps one record per block, ``(inp, gate, xhat, s)``:
+``gate`` is the derivative of the block's ReLU and dropout taken together,
+so the backward pass applies both with one product.
 """
 
 from __future__ import annotations
@@ -61,8 +65,8 @@ _LOG_FLOOR = 1e-300
 _ALLOWED_DILATIONS = (2, 4, 8, 16)
 _DEFAULT_SCHEDULE = (2, 4, 8, 16) * 3
 # Rows per inference forward pass: at the default architecture a block of 32
-# 33-long rows holds under 2 MB of activations, and a whole validation set in
-# one pass would hold them for every row at once.
+# 33-long rows holds under 4 MB of activations and block records, and a whole
+# validation set in one pass would hold them for every row at once.
 _INFER_ROWS = 32
 
 
@@ -93,8 +97,9 @@ class ArchSpec:
             raise ValueError(f"channels must be >= 1, got {self.channels}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.n_classes < 2:
-            raise ValueError(f"n_classes must be >= 2, got {self.n_classes}")
+        if self.n_classes != len(INDEX_LABEL):
+            names = " and ".join(label.value for label in INDEX_LABEL)
+            raise ValueError(f"n_classes must be {len(INDEX_LABEL)} ({names}), got {self.n_classes}")
 
 
 @dataclass
@@ -133,6 +138,9 @@ class TrainParams:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
+        for name in ("lr", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -293,18 +301,14 @@ def _cross_entropy(probs: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]
     return loss, dlogits / y.size
 
 
-def _forward_batch(
-    model: TdcnnModel,
-    x: np.ndarray,
-    train_mode: bool = False,
-    seed: int = 0,
-    keep_cache: bool = False,
-):
-    """Run the stack on (batch, 1, time) input; optionally keep per-block caches.
+def _forward_batch(model: TdcnnModel, x: np.ndarray, train_mode: bool = False, seed: int = 0):
+    """Run the stack on (batch, 1, time) input; return ``(probs, pooled, caches, h)``.
 
     With ``train_mode`` on, spatial dropout masks are drawn from ``seed``.
-    With ``keep_cache`` it returns ``(probs, pooled, caches, h)``: each block's
-    cache starts with that block's input, and ``h`` is the last block's output.
+    Each block's cache is ``(inp, gate, xhat, s)``: the block's input, the
+    derivative of its ReLU·dropout (the dropout scale where the normalized
+    value is positive, else zero) and the normalization's ``xhat`` and ``s``.
+    ``h`` is the last block's output.
     """
     arch = model.arch
     p = arch.dropout_rate
@@ -315,29 +319,21 @@ def _forward_batch(
         inp = h
         conv = _causal_conv(inp, blk.conv_w, blk.conv_b, dilation)
         norm, xhat, s = _norm_forward(conv, blk.gamma, blk.beta)
-        act = np.maximum(norm, 0.0)
-        mask = None
+        branch = np.maximum(norm, 0.0)
+        gate = norm > 0
         if train_mode and p > 0.0:
-            mask = (rng.random((x.shape[0], arch.channels)) >= p) / (1.0 - p)
-            branch = act * mask[:, :, None]
-        else:
-            branch = act
-        if blk.proj_w is None:
-            res = inp
-        else:
-            res = np.matmul(blk.proj_w, inp)
+            mask = ((rng.random((x.shape[0], arch.channels)) >= p) / (1.0 - p))[:, :, None]
+            branch = branch * mask
+            gate = gate * mask
+        res = inp if blk.proj_w is None else np.matmul(blk.proj_w, inp)
         h = branch + res
-        if keep_cache:
-            caches.append((inp, norm, xhat, s, mask))
+        caches.append((inp, gate, xhat, s))
     pooled = h.mean(axis=2)
     # one (1, channels) @ (channels, classes) product per row: ``pooled @
     # head_w.T`` lets BLAS pick its kernel by batch size, and a row's scores
     # would then depend on how many rows share its forward pass
     logits = np.matmul(pooled[:, None, :], model.head_w.T)[:, 0, :] + model.head_b
-    probs = _softmax_rows(logits)
-    if keep_cache:
-        return probs, pooled, caches, h
-    return probs
+    return _softmax_rows(logits), pooled, caches, h
 
 
 def _pattern_rows(patterns) -> np.ndarray:
@@ -362,12 +358,12 @@ def forward(
     With ``train_mode`` on, spatial dropout masks are drawn from ``seed``,
     so repeated calls with the same seed agree bitwise.
     """
-    return _forward_batch(model, _pattern_rows([pattern])[:, None, :], train_mode, seed)[0]
+    return _forward_batch(model, _pattern_rows([pattern])[:, None, :], train_mode, seed)[0][0]
 
 
 def block_activations(model: TdcnnModel, pattern: PatternSignal) -> list[np.ndarray]:
     """Pre-pooling output of every block (eval mode), each (channels, time)."""
-    _, _, caches, h = _forward_batch(model, _pattern_rows([pattern])[:, None, :], keep_cache=True)
+    _, _, caches, h = _forward_batch(model, _pattern_rows([pattern])[:, None, :])
     # a block's output is the next block's input
     outs = [cache[0] for cache in caches[1:]] + [h]
     return [out[0] for out in outs]
@@ -380,7 +376,7 @@ def _loss_and_grad_arrays(
     train_mode: bool = False,
     seed: int = 0,
 ) -> tuple[float, TdcnnModel]:
-    probs, pooled, caches, h = _forward_batch(model, x, train_mode, seed, keep_cache=True)
+    probs, pooled, caches, h = _forward_batch(model, x, train_mode, seed)
     loss, dlogits = _cross_entropy(probs, y)
     dpooled = dlogits @ model.head_w
     t_len = h.shape[2]
@@ -390,16 +386,10 @@ def _loss_and_grad_arrays(
     for blk, dilation, cache in zip(
         reversed(model.blocks), reversed(model.arch.dilation_schedule), reversed(caches)
     ):
-        inp, norm, xhat, s, mask = cache
-        if blk.proj_w is None:
-            dproj = None
-            d_inp_res = dh
-        else:
-            dproj = np.tensordot(dh, inp, axes=([0, 2], [0, 2]))
-            d_inp_res = np.matmul(blk.proj_w.T, dh)
-        d_branch = dh if mask is None else dh * mask[:, :, None]
-        d_norm = d_branch * (norm > 0)
-        d_conv, dgamma, dbeta = _norm_backward(d_norm, xhat, s, blk.gamma)
+        inp, gate, xhat, s = cache
+        dproj = None if blk.proj_w is None else np.tensordot(dh, inp, axes=([0, 2], [0, 2]))
+        d_inp_res = dh if blk.proj_w is None else np.matmul(blk.proj_w.T, dh)
+        d_conv, dgamma, dbeta = _norm_backward(dh * gate, xhat, s, blk.gamma)
         d_inp_conv, dw, db = _causal_conv_backward(d_conv, inp, blk.conv_w, dilation)
         grad_blocks.append(BlockWeights(dw, db, dgamma, dbeta, dproj))
         dh = d_inp_conv + d_inp_res
@@ -632,6 +622,6 @@ def predict_wakeful_scores(model, values: np.ndarray) -> np.ndarray:
         scores = np.empty(values.shape[0])
         for start in range(0, values.shape[0], _INFER_ROWS):
             block = values[start : start + _INFER_ROWS]
-            scores[start : start + block.shape[0]] = _forward_batch(model, block[:, None, :])[:, wakeful]
+            scores[start : start + block.shape[0]] = _forward_batch(model, block[:, None, :])[0][:, wakeful]
         return scores
     raise TypeError(f"unsupported model type: {type(model).__name__}")

@@ -173,6 +173,13 @@ class TestConfig:
             config_from_dict({"schema_version": 1, "generation": doc})
         assert str(info.value) == f"config: generation: {message}"
 
+    def test_class_count_must_match_the_labels(self):
+        doc = config_to_dict(default_config())
+        doc["arch"]["n_classes"] = 3
+        with pytest.raises(FormatError) as info:
+            config_from_dict(doc)
+        assert str(info.value) == "config: arch: n_classes must be 2 (Drowsy and Wakeful), got 3"
+
     def test_hash_pinned(self):
         assert config_hash(default_config()) == (
             "f92656dffb3a391a19a6a4855b2947cb5970befab5376d1b574d7c620249364d"
@@ -460,6 +467,43 @@ class TestCliCommands:
         windows = json.loads(capsys.readouterr().out)["windows"]
         assert [(w["start_s"], w["end_s"]) for w in windows] == [(0.0, 16.15), (16.15, 32.3)]
         assert all(w["n_patterns"] >= 1 for w in windows)
+
+    @pytest.mark.parametrize("window_s", ["inf", "nan", "1e307"])
+    def test_assess_refuses_a_window_of_no_finite_length(self, tmp_path, capsys, window_s):
+        save_model(tmp_path / "model.json", init_model(ArchSpec(), seed=1))
+        save_signal_csv(tmp_path / "sig.csv", generate_ppg(DROWSY_PRESET, 8.0, 100, seed=2))
+        assert main(["assess", "--model", str(tmp_path / "model.json"), "--signal",
+                     str(tmp_path / "sig.csv"), "--window-s", window_s]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": {
+                "message": f"window of {float(window_s)}s is not a finite number of samples at fs=100.0",
+                "type": "ValueError",
+            }
+        }
+
+    @pytest.mark.parametrize(
+        "command, doc, error",
+        [
+            (
+                "synth",
+                {"generation": {"duration_s": 1e307}},
+                ("ValueError", "duration_s * fs must be finite, got 1e+307 * 100.0"),
+            ),
+            ("run", {"train": {"lr": math.inf}}, ("FormatError", "{}: train: lr must be finite, got inf")),
+            (
+                "run",
+                {"arch": {**config_to_dict(default_config())["arch"], "n_classes": 3}},
+                ("FormatError", "{}: arch: n_classes must be 2 (Drowsy and Wakeful), got 3"),
+            ),
+        ],
+    )
+    def test_unusable_config_values_give_json_error(self, tmp_path, capsys, command, doc, error):
+        # json.dumps writes math.inf as Infinity, which json.loads reads back
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"schema_version": 1, **doc}))
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": {"message": error[1].format(cfg_path), "type": error[0]}}
 
     def test_salient_cli(self, tmp_path, capsys):
         boxes_path = tmp_path / "boxes.json"

@@ -68,6 +68,10 @@ class TestGeneratePpg:
         with pytest.raises(ValueError, match="duration"):
             generate_ppg(WAKEFUL_PRESET, -1.0, fs=100, seed=0)
 
+    def test_overflowing_sample_count_rejected(self):
+        with pytest.raises(ValueError, match=r"duration_s \* fs must be finite, got 1e\+307 \* 100"):
+            generate_ppg(WAKEFUL_PRESET, 1e307, fs=100, seed=0)
+
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -139,6 +139,10 @@ class TestInitModel:
             (dict(n_blocks=2, dilation_schedule=(2, 4), kernel_size=4), "kernel_size"),
             (dict(n_blocks=2, dilation_schedule=(2, 4), dropout_rate=1.0), "dropout_rate"),
             (dict(n_blocks=2, dilation_schedule=(2, 4), channels=0), "channels"),
+            (
+                dict(n_blocks=2, dilation_schedule=(2, 4), n_classes=3),
+                r"n_classes must be 2 \(Drowsy and Wakeful\), got 3",
+            ),
         ],
     )
     def test_invalid_arch_names_violation(self, kwargs, match):
@@ -336,6 +340,19 @@ class TestTrain:
         model = init_model(TINY_ARCH, seed=2)
         with pytest.raises(ValueError, match="both classes"):
             train(model, dataset, TrainParams(epochs=1, seed=0))
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(lr=math.inf), "lr must be finite, got inf"),
+            (dict(weight_decay=math.nan), "weight_decay must be finite, got nan"),
+            (dict(weight_decay=math.inf), "weight_decay must be finite, got inf"),
+        ],
+    )
+    def test_non_finite_params_rejected(self, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            TrainParams(**kwargs)
+        assert str(info.value) == message
 
     def test_returns_the_best_epoch(self):
         # random labels and a large step: validation accuracy falls after epoch 0
