@@ -36,7 +36,6 @@ from .band_search import (
     SpaceTooLargeError,
     enumerate_best,
     fisher_score,
-    neighbors,
     q_learn,
     reward,
 )

@@ -24,7 +24,6 @@ __all__ = [
     "fisher_score",
     "dataset_reward",
     "reward",
-    "neighbors",
     "q_learn",
     "enumerate_best",
 ]
@@ -56,10 +55,11 @@ class SearchSpace:
     bands_per_layer: int = 11
 
     def __post_init__(self) -> None:
-        if not self.grid_hz > 0:
-            raise ValueError(f"grid_hz must be > 0, got {self.grid_hz}")
-        if self.min_width_hz < self.grid_hz:
-            raise ValueError("min_width_hz must be >= grid_hz")
+        # finite before any step arithmetic, which would overflow or fail on NaN
+        if not 0 < self.grid_hz < math.inf:
+            raise ValueError(f"grid_hz must be finite and > 0, got {self.grid_hz}")
+        if not self.grid_hz <= self.min_width_hz < math.inf:
+            raise ValueError(f"min_width_hz must be finite and >= grid_hz, got {self.min_width_hz}")
         if self.n_layers < 1:
             raise ValueError("n_layers must be >= 1")
         if self._min_width_steps() > self.n_steps:
@@ -88,27 +88,6 @@ class SearchSpace:
     def config_from_indices(self, idx: IndexConfig) -> HyperFilterConfig:
         layers = tuple((self.edge_value(i), self.edge_value(j)) for i, j in idx)
         return HyperFilterConfig(layers, bands_per_layer=self.bands_per_layer)
-
-    def indices_from_config(self, config: HyperFilterConfig) -> IndexConfig:
-        """Map a config onto grid indices; reject off-grid or out-of-space configs."""
-        if len(config.layers) != self.n_layers:
-            raise ValueError(
-                f"config has {len(config.layers)} layers, space expects {self.n_layers}"
-            )
-        out = []
-        w = self._min_width_steps()
-        for lo, hi in config.layers:
-            ij = []
-            for edge in (lo, hi):
-                steps = (edge - PPG_BAND[0]) / self.grid_hz
-                i = round(steps)
-                if abs(steps - i) > 1e-6 or not 0 <= i <= self.n_steps:
-                    raise ValueError(f"edge {edge} Hz is not on the search grid")
-                ij.append(i)
-            if ij[1] - ij[0] < w:
-                raise ValueError(f"layer ({lo}, {hi}) is narrower than min_width_hz")
-            out.append((ij[0], ij[1]))
-        return tuple(out)
 
     def neighbor_indices(self, idx: IndexConfig) -> list[IndexConfig]:
         """Single-edge moves by one grid step, in (layer, lo-, lo+, hi-, hi+) order."""
@@ -202,12 +181,6 @@ def _fitted(space: SearchSpace, data: list[PpgSignal]) -> SearchSpace:
     raise ValueError(f"no band layout of the search space fits signals of {shortest} samples")
 
 
-def neighbors(config: HyperFilterConfig, space: SearchSpace) -> list[HyperFilterConfig]:
-    """Configs reachable by moving exactly one layer edge one grid step."""
-    idx = space.indices_from_config(config)
-    return [space.config_from_indices(m) for m in space.neighbor_indices(idx)]
-
-
 def q_learn(
     space: SearchSpace, data: list[PpgSignal], params: RlParams
 ) -> tuple[HyperFilterConfig, list[tuple[int, float]]]:
@@ -216,17 +189,16 @@ def q_learn(
     Actions move to a neighboring layout; the immediate reward is the
     Fisher separability of the layout moved to. Episodes restart from a
     random layout. Returns the best layout ever visited plus the per-episode
-    best-so-far reward history (monotone non-decreasing). Deterministic
-    given ``params.seed``; rewards are memoized, so each distinct layout is
+    best-so-far reward history (monotone non-decreasing); of layouts with
+    equal rewards the one visited first wins. Deterministic given
+    ``params.seed``; rewards are memoized, so each distinct layout is
     evaluated once per call. Layers too narrow for their kernels to fit every
     signal are left out of the space.
     """
-    labels = {s.label for s in data}
-    if not {Label.DROWSY, Label.WAKEFUL} <= labels:
-        raise ValueError("q_learn requires signals from both classes")
     space = _fitted(space, data)
 
     rng = np.random.default_rng(params.seed)
+    # first-visit order, so that max() keeps the first of equal rewards
     cache: dict[IndexConfig, float] = {}
 
     def evaluate(idx: IndexConfig) -> float:
@@ -236,15 +208,13 @@ def q_learn(
 
     q: dict[tuple[IndexConfig, IndexConfig], float] = {}
     state = space.random_indices(rng)
-    best_idx, best_reward = state, evaluate(state)
+    evaluate(state)
     history: list[tuple[int, float]] = []
 
     for episode in range(params.episodes):
         if episode > 0:
             state = space.random_indices(rng)
-            r0 = evaluate(state)
-            if r0 > best_reward:
-                best_idx, best_reward = state, r0
+            evaluate(state)
         for _ in range(params.steps_per_episode):
             moves = space.neighbor_indices(state)
             if not moves:
@@ -259,17 +229,15 @@ def q_learn(
             )
             old = q.get((state, nxt), 0.0)
             q[(state, nxt)] = old + params.alpha * (r + params.gamma * future - old)
-            if r > best_reward:
-                best_idx, best_reward = nxt, r
             state = nxt
-        history.append((episode, best_reward))
+        history.append((episode, max(cache.values())))
 
-    return space.config_from_indices(best_idx), history
+    return space.config_from_indices(max(cache, key=cache.get)), history
 
 
 def enumerate_best(space: SearchSpace, data: list[PpgSignal]) -> HyperFilterConfig:
-    """Exhaustive argmax of the reward; ties keep the lexicographically
-    smallest edge tuple. Layers too narrow for their kernels to fit every
+    """Exhaustive argmax of the reward; of equal rewards the lexicographically
+    smallest edge tuple wins. Layers too narrow for their kernels to fit every
     signal are left out; refuses spaces above the enumeration guard."""
     space = _fitted(space, data)
     total = space.size()
@@ -277,12 +245,5 @@ def enumerate_best(space: SearchSpace, data: list[PpgSignal]) -> HyperFilterConf
         raise SpaceTooLargeError(
             f"space holds {total} configurations, guard is {_ENUMERATION_GUARD}"
         )
-    best_idx: IndexConfig | None = None
-    best_reward = -math.inf
-    for idx in space.all_indices():
-        r = reward(space.config_from_indices(idx), data)
-        if r > best_reward:
-            best_idx, best_reward = idx, r
-    if best_idx is None:
-        raise ValueError("space contains no representable configuration")
-    return space.config_from_indices(best_idx)
+    best = max(space.all_indices(), key=lambda idx: reward(space.config_from_indices(idx), data))
+    return space.config_from_indices(best)

@@ -19,7 +19,6 @@ import numpy as np
 from . import persist
 from .filterbank import HyperFilterConfig, hyper_filter, pattern_rows
 from .pipeline import (
-    DEFAULT_LAYERS,
     ArtifactWriter,
     PipelineConfig,
     PipelineError,
@@ -90,9 +89,7 @@ def _cmd_synth(args) -> int:
 def _bands_from_args(args) -> HyperFilterConfig:
     if getattr(args, "bands", None):
         return persist.load_hyper_config(args.bands)
-    if getattr(args, "config", None):
-        return _load_config(args).bands
-    return HyperFilterConfig(DEFAULT_LAYERS)
+    return _load_config(args).bands
 
 
 def _cmd_filter(args) -> int:
@@ -196,9 +193,12 @@ def _cmd_assess(args) -> int:
 
 def _cmd_salient(args) -> int:
     boxes = persist.load_boxes(args.boxes)
-    if args.min_height is not None and args.min_width is not None:
+    # exactly one complete pair of flags
+    flags = (args.min_height, args.min_width, args.frame_height, args.frame_width)
+    given = [v is not None for v in flags]
+    if given == [True, True, False, False]:
         min_h, min_w = args.min_height, args.min_width
-    elif args.frame_height is not None and args.frame_width is not None:
+    elif given == [False, False, True, True]:
         min_h, min_w = salient_thresholds_for_frame(args.frame_height, args.frame_width)
     else:
         raise ValueError(

@@ -178,7 +178,7 @@ def dataclass_from_dict(cls, doc, where: str, base=None):
             values[f.name] = getattr(base, f.name)
     try:
         return cls(**values)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{where}: {exc}") from exc
 
 

@@ -104,6 +104,10 @@ class GenerationConfig:
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Band-search settings. Checked when the config is built, by mapping
+    them onto a ``SearchSpace`` and ``RlParams``, whether or not search is
+    enabled."""
+
     enabled: bool = False
     grid_hz: float = 0.5
     min_width_hz: float = 1.0
@@ -112,6 +116,20 @@ class SearchConfig:
     epsilon: float = 0.2
     alpha: float = 0.5
     gamma: float = 0.9
+
+    def __post_init__(self) -> None:
+        # the space's checks do not depend on the layout it is given
+        self.space(HyperFilterConfig(DEFAULT_LAYERS))
+        self.rl_params(seed=0)
+
+    def space(self, bands: HyperFilterConfig) -> SearchSpace:
+        """The space of layouts with the layer count and bands of ``bands``."""
+        return SearchSpace(self.grid_hz, self.min_width_hz, len(bands.layers), bands.bands_per_layer)
+
+    def rl_params(self, seed: int) -> RlParams:
+        return RlParams(
+            self.episodes, self.steps_per_episode, self.epsilon, self.alpha, self.gamma, seed
+        )
 
 
 @dataclass(frozen=True)
@@ -257,22 +275,8 @@ def search_stage(
     """Q-learning search for a band layout with the config's layer count;
     writes ``search.json`` and the reward history. Returns the best layout
     and its reward (None when the search runs no episode)."""
-    search = config.search
-    space = SearchSpace(
-        grid_hz=search.grid_hz,
-        min_width_hz=search.min_width_hz,
-        n_layers=len(config.bands.layers),
-        bands_per_layer=config.bands.bands_per_layer,
-    )
-    rl = RlParams(
-        episodes=search.episodes,
-        steps_per_episode=search.steps_per_episode,
-        epsilon=search.epsilon,
-        alpha=search.alpha,
-        gamma=search.gamma,
-        seed=derive_seed("search", config.seed),
-    )
-    bands, history = q_learn(space, signals, rl)
+    rl = config.search.rl_params(derive_seed("search", config.seed))
+    bands, history = q_learn(config.search.space(config.bands), signals, rl)
     best_reward = history[-1][1] if history else None
     emit(
         "search.json",

@@ -10,7 +10,6 @@ from drowsemon.band_search import (
     _fitted,
     enumerate_best,
     fisher_score,
-    neighbors,
     q_learn,
     reward,
 )
@@ -105,39 +104,33 @@ class TestReward:
 class TestNeighbors:
     SPACE = SearchSpace(grid_hz=0.5, min_width_hz=1.0, n_layers=1, bands_per_layer=11)
 
-    def layers(self, configs):
-        return [c.layers[0] for c in configs]
+    def layers(self, idx):
+        return [self.SPACE.config_from_indices(m).layers[0] for m in self.SPACE.neighbor_indices(idx)]
 
     def test_full_width_layer_has_two_neighbors(self):
-        config = HyperFilterConfig(((1.0, 10.0),), bands_per_layer=11)
-        got = self.layers(neighbors(config, self.SPACE))
-        assert got == [(1.5, 10.0), (1.0, 9.5)]
+        assert self.SPACE.config_from_indices(((0, 18),)).layers == ((1.0, 10.0),)
+        assert self.layers(((0, 18),)) == [(1.5, 10.0), (1.0, 9.5)]
 
     def test_interior_layer_has_four_neighbors(self):
-        config = HyperFilterConfig(((4.0, 6.0),), bands_per_layer=11)
-        got = self.layers(neighbors(config, self.SPACE))
-        assert got == [(3.5, 6.0), (4.5, 6.0), (4.0, 5.5), (4.0, 6.5)]
+        assert self.layers(((6, 10),)) == [(3.5, 6.0), (4.5, 6.0), (4.0, 5.5), (4.0, 6.5)]
 
     def test_min_width_blocks_shrinking(self):
-        config = HyperFilterConfig(((4.0, 5.0),), bands_per_layer=11)
-        got = self.layers(neighbors(config, self.SPACE))
-        assert got == [(3.5, 5.0), (4.0, 5.5)]
-
-    def test_off_grid_config_rejected(self):
-        config = HyperFilterConfig(((4.26, 6.0),), bands_per_layer=11)
-        with pytest.raises(ValueError, match="grid"):
-            neighbors(config, self.SPACE)
+        assert self.layers(((6, 8),)) == [(3.5, 5.0), (4.0, 5.5)]
 
     def test_excludes_input_config(self):
-        config = HyperFilterConfig(((4.0, 6.0),), bands_per_layer=11)
-        assert config.layers not in [c.layers for c in neighbors(config, self.SPACE)]
+        idx = ((6, 10),)
+        assert idx not in self.SPACE.neighbor_indices(idx)
 
     def test_multi_layer_moves_one_edge_at_a_time(self):
         space = SearchSpace(grid_hz=0.5, min_width_hz=1.0, n_layers=2, bands_per_layer=11)
-        config = HyperFilterConfig(((4.0, 6.0), (2.0, 8.0)), bands_per_layer=11)
-        for n in neighbors(config, space):
+        idx = ((6, 10), (2, 14))
+        config = space.config_from_indices(idx)
+        assert config.layers == ((4.0, 6.0), (2.0, 8.0))
+        moves = space.neighbor_indices(idx)
+        assert len(moves) == 8
+        for m in moves:
             flat_in = [e for layer in config.layers for e in layer]
-            flat_out = [e for layer in n.layers for e in layer]
+            flat_out = [e for layer in space.config_from_indices(m).layers for e in layer]
             moved = [abs(a - b) for a, b in zip(flat_in, flat_out)]
             assert sum(1 for d in moved if d > 0) == 1
             assert max(moved) == 0.5
@@ -194,7 +187,8 @@ class TestQLearn:
         best2, hist2 = q_learn(space, tones, RlParams(episodes=0, seed=5))
         assert best1.layers == best2.layers
         assert hist1 == [] and hist2 == []
-        space.indices_from_config(best1)  # representable
+        # representable: one of the space's layouts
+        assert best1.layers in [space.config_from_indices(i).layers for i in space.all_indices()]
 
     def test_history_monotone_nondecreasing(self, tones):
         _, history = q_learn(
@@ -215,6 +209,17 @@ class TestQLearn:
         drowsy_only = [s for s in tones if s.label is Label.DROWSY]
         with pytest.raises(ValueError, match="both classes"):
             q_learn(THREE_CONFIG_SPACE, drowsy_only, RlParams(episodes=1, seed=0))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ties_go_to_the_first_layout_visited(self, seed):
+        base = np.sin(2 * math.pi * 5.0 * np.arange(1200) / 100.0)
+        pair = [PpgSignal(base.copy(), 100.0, label) for label in (Label.DROWSY, Label.WAKEFUL)]
+        # identical classes: every layout scores exactly 0.0, so the seeded start wins
+        space = SearchSpace(grid_hz=3.0, min_width_hz=6.0, n_layers=2, bands_per_layer=3)
+        best, history = q_learn(space, pair, RlParams(episodes=4, steps_per_episode=3, seed=seed))
+        first = space.random_indices(np.random.default_rng(seed))
+        assert best.layers == space.config_from_indices(first).layers
+        assert history == [(e, 0.0) for e in range(4)]
 
 
 class TestFittedSpace:
@@ -253,6 +258,9 @@ class TestValidation:
             SearchSpace(grid_hz=1.0, min_width_hz=0.5)
         with pytest.raises(ValueError):
             SearchSpace(n_layers=0)
+        for grid_hz, min_width_hz in ((math.inf, math.inf), (0.5, math.inf), (0.5, math.nan)):
+            with pytest.raises(ValueError, match="must be finite"):
+                SearchSpace(grid_hz=grid_hz, min_width_hz=min_width_hz)
         band = r"1\.0-10\.0 Hz band on a 0\.5 Hz grid"
         with pytest.raises(ValueError, match=rf"min_width_hz=9\.5 .* {band}"):
             SearchSpace(grid_hz=0.5, min_width_hz=9.5)

@@ -223,6 +223,11 @@ class TestConfig:
         config = config_from_dict({"schema_version": 1, "train": {"lr": 1}})
         assert config.train.lr == 1.0 and isinstance(config.train.lr, float)
 
+    def test_search_values_refused_at_load_even_when_disabled(self):
+        doc = {"enabled": False, "epsilon": 5, "grid_hz": -1, "episodes": -3}
+        with pytest.raises(FormatError, match=r"^config: search: grid_hz must be finite and > 0, got -1\.0$"):
+            config_from_dict({"schema_version": 1, "search": doc})
+
     def test_non_object_document_rejected(self):
         with pytest.raises(FormatError, match="config: expected an object, got list"):
             config_from_dict([1, 2])
@@ -495,15 +500,36 @@ class TestCliCommands:
                 {"arch": {**config_to_dict(default_config())["arch"], "n_classes": 3}},
                 ("FormatError", "{}: arch: n_classes must be 2 (Drowsy and Wakeful), got 3"),
             ),
+            (
+                "run",
+                {"search": {"enabled": True, "epsilon": 5}},
+                ("FormatError", "{}: search: epsilon must be in [0, 1], got 5.0"),
+            ),
+            (
+                "search-bands",
+                {"search": {"min_width_hz": math.inf}},
+                ("FormatError", "{}: search: min_width_hz must be finite and >= grid_hz, got inf"),
+            ),
+            (
+                "search-bands",
+                {"search": {"min_width_hz": math.nan}},
+                ("FormatError", "{}: search: min_width_hz must be finite and >= grid_hz, got nan"),
+            ),
+            (
+                "search-bands",
+                {"search": {"min_width_hz": 1e308}},
+                ("FormatError", "{}: search: cannot convert float infinity to integer"),
+            ),
         ],
     )
     def test_unusable_config_values_give_json_error(self, tmp_path, capsys, command, doc, error):
-        # json.dumps writes math.inf as Infinity, which json.loads reads back
+        # json.dumps writes math.inf as Infinity and math.nan as NaN, which json.loads reads back
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({"schema_version": 1, **doc}))
         assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": {"message": error[1].format(cfg_path), "type": error[0]}}
+        assert not (tmp_path / "out").exists()
 
     def test_salient_cli(self, tmp_path, capsys):
         boxes_path = tmp_path / "boxes.json"
@@ -513,6 +539,27 @@ class TestCliCommands:
         result = json.loads(capsys.readouterr().out)
         assert result["n_salient"] == 1
         assert result["boxes"][0]["h"] == 10
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--min-height", "60", "--frame-height", "100", "--frame-width", "100"],
+            ["--min-height", "8", "--min-width", "8", "--frame-width", "100"],
+            ["--min-height", "8"],
+            [],
+        ],
+    )
+    def test_salient_refuses_anything_but_one_complete_pair(self, tmp_path, capsys, flags):
+        boxes_path = tmp_path / "boxes.json"
+        save_boxes(boxes_path, [BoundingBox(0, 0, 5, 10)])
+        assert main(["salient", "--boxes", str(boxes_path), *flags]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": {
+                "message": "give either --min-height and --min-width, "
+                "or --frame-height and --frame-width",
+                "type": "ValueError",
+            }
+        }
 
     def test_miou_cli(self, tmp_path, capsys):
         gt = np.zeros((10, 15), dtype=int)
