@@ -62,9 +62,17 @@ class SearchSpace:
             raise ValueError(f"min_width_hz must be finite and >= grid_hz, got {self.min_width_hz}")
         if self.n_layers < 1:
             raise ValueError("n_layers must be >= 1")
-        if self._min_width_steps() > self.n_steps:
-            band = f"{PPG_BAND[0]}-{PPG_BAND[1]} Hz band on a {self.grid_hz} Hz grid"
-            raise ValueError(f"no layer of min_width_hz={self.min_width_hz} fits the {band}")
+        # step counts are compared as floats: one that overflows has no int form
+        band = f"{PPG_BAND[0]}-{PPG_BAND[1]} Hz band"
+        if (PPG_BAND[1] - PPG_BAND[0]) / self.grid_hz == math.inf:
+            raise ValueError(
+                f"grid_hz={self.grid_hz} is too fine: the {band} has more steps than a float can hold"
+            )
+        # ceil(w) > n exactly when w > n, for an integer n
+        if self.min_width_hz / self.grid_hz - _GRID_TOL > self.n_steps:
+            raise ValueError(
+                f"no layer of min_width_hz={self.min_width_hz} fits the {band} on a {self.grid_hz} Hz grid"
+            )
 
     @property
     def n_steps(self) -> int:

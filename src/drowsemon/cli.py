@@ -32,8 +32,8 @@ from .pipeline import (
     synth_stage,
     train_stage,
 )
-from .signal_gen import INDEX_LABEL, PpgSignal
-from .tdcnn import _verdict, assess_window
+from .signal_gen import PpgSignal
+from .tdcnn import Assessment, assess_window
 from .vision import (
     cc_attention,
     filter_salient,
@@ -184,7 +184,7 @@ def _cmd_assess(args) -> int:
         "windows": windows,
         "overall": {
             "score": overall,
-            "label": INDEX_LABEL[_verdict(overall)].value,
+            "label": Assessment(overall).label.value,
         },
     }
     _write_result(args, "assessment.json", result)

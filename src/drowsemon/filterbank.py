@@ -2,11 +2,12 @@
 
 The 1-10 Hz band of interest is carved into layered stacks of contiguous
 sub-bands ("hyper-filtering"). Each (layer, band) pair yields one filtered
-channel; a pattern is the cross-channel vector of one time sample.
+channel; a pattern is the cross-channel vector of one time sample. Only
+samples outside the longest kernel's edge margin become patterns.
 ``pattern_rows`` returns a signal's patterns as one (rows, channels)
 matrix; ``build_dataset`` stacks those of many labeled signals for the
-classifiers and the band-search reward. ``pattern_signals`` views the
-rows of one signal as labeled objects.
+classifiers and the band-search reward. ``pattern_signals`` gives the
+rows of one signal as ``PatternSignal`` objects carrying its label.
 """
 
 from __future__ import annotations
@@ -52,21 +53,14 @@ class SignalTooShortError(ValueError):
 
 @dataclass
 class FilterKernel:
-    """Linear-phase FIR band-pass kernel with its design band."""
+    """Linear-phase FIR kernel: an odd number of taps centred on the middle one."""
 
     taps: np.ndarray
-    f_lo: float
-    f_hi: float
-    fs: float
 
     def __post_init__(self) -> None:
         self.taps = np.asarray(self.taps, dtype=np.float64)
         if self.taps.ndim != 1 or self.taps.size % 2 != 1:
             raise ValueError("kernel must be a 1-D array with an odd tap count")
-        if not 0 < self.f_lo < self.f_hi < self.fs / 2:
-            raise ValueError(
-                f"need 0 < f_lo < f_hi < fs/2, got ({self.f_lo}, {self.f_hi}) at fs={self.fs}"
-            )
 
 
 @dataclass(frozen=True)
@@ -90,10 +84,6 @@ class HyperFilterConfig:
                 raise ValueError(
                     f"layer ({lo}, {hi}) must satisfy {PPG_BAND[0]} <= f_lo < f_hi <= {PPG_BAND[1]}"
                 )
-
-    @property
-    def n_channels(self) -> int:
-        return len(self.layers) * self.bands_per_layer
 
 
 @dataclass(frozen=True)
@@ -134,13 +124,9 @@ class FilteredStack:
         return self.channels.shape[1]
 
     @property
-    def max_kernel_taps(self) -> int:
-        return max(m.taps for m in self.channel_meta)
-
-    @property
     def default_margin(self) -> int:
         """Edge samples corrupted by the longest kernel's group delay."""
-        return (self.max_kernel_taps - 1) // 2
+        return (max(m.taps for m in self.channel_meta) - 1) // 2
 
 
 @dataclass
@@ -149,7 +135,6 @@ class PatternSignal:
 
     values: np.ndarray
     label: Label | None = None
-    source_index: int = 0
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -192,12 +177,9 @@ class PatternDataset:
         labels = np.array([LABEL_INDEX[p.label] for p in pats], dtype=np.int64)
         return cls(values, labels)
 
-    def class_counts(self) -> dict[Label, int]:
-        return {lab: int(np.sum(self.labels == i)) for i, lab in enumerate(INDEX_LABEL)}
-
     def require_both_classes(self) -> None:
         """Refuse a dataset with no row of some class."""
-        counts = {lab.value: n for lab, n in self.class_counts().items()}
+        counts = {lab.value: int(np.sum(self.labels == i)) for i, lab in enumerate(INDEX_LABEL)}
         if 0 in counts.values():
             raise ValueError(f"the dataset needs both classes, got row counts {counts}")
 
@@ -237,7 +219,7 @@ def design_bandpass(
         return h / h.sum()
 
     taps = lowpass(f_hi) - lowpass(f_lo)
-    return FilterKernel(taps, f_lo=float(f_lo), f_hi=float(f_hi), fs=float(fs))
+    return FilterKernel(taps)
 
 
 def apply_filter(kernel: FilterKernel, signal: PpgSignal) -> PpgSignal:
@@ -305,19 +287,15 @@ def hyper_filter(signal: PpgSignal, config: HyperFilterConfig) -> FilteredStack:
     return FilteredStack(channels, meta, fs=signal.fs, label=signal.label)
 
 
-def pattern_rows(stack: FilteredStack, margin: int | None = None) -> np.ndarray:
+def pattern_rows(stack: FilteredStack) -> np.ndarray:
     """Cross-channel patterns of the retained samples as a (rows, channels) matrix.
 
-    ``margin`` samples are dropped from each end (default: the stack's
-    edge-transient margin); row k reads channel c at
-    ``stack.channels[c][margin + k]``. The matrix is C-contiguous: a
-    reduction over its rows, such as the Fisher score's class means, rounds
-    differently on a transposed view of the channels.
+    The stack's ``default_margin`` samples are dropped from each end; row k
+    reads channel c at ``stack.channels[c][default_margin + k]``. The matrix
+    is C-contiguous: a reduction over its rows, such as the Fisher score's
+    class means, rounds differently on a transposed view of the channels.
     """
-    if margin is None:
-        margin = stack.default_margin
-    if margin < 0:
-        raise ValueError(f"margin must be >= 0, got {margin}")
+    margin = stack.default_margin
     n = stack.n_samples
     if n <= 2 * margin:
         raise ValueError(
@@ -326,16 +304,9 @@ def pattern_rows(stack: FilteredStack, margin: int | None = None) -> np.ndarray:
     return np.ascontiguousarray(stack.channels[:, margin : n - margin].T)
 
 
-def pattern_signals(stack: FilteredStack, margin: int | None = None) -> list[PatternSignal]:
-    """The rows of ``pattern_rows`` as labeled patterns; ``source_index`` is
-    the sample index a pattern was read at."""
-    rows = pattern_rows(stack, margin)
-    # the same number of samples is dropped from each end
-    first = (stack.n_samples - rows.shape[0]) // 2
-    return [
-        PatternSignal(row, label=stack.label, source_index=first + k)
-        for k, row in enumerate(rows)
-    ]
+def pattern_signals(stack: FilteredStack) -> list[PatternSignal]:
+    """The rows of ``pattern_rows`` as patterns carrying the stack's label."""
+    return [PatternSignal(row, label=stack.label) for row in pattern_rows(stack)]
 
 
 def build_dataset(

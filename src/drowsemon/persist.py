@@ -182,20 +182,26 @@ def dataclass_from_dict(cls, doc, where: str, base=None):
         raise FormatError(f"{where}: {exc}") from exc
 
 
-def _from_json(value, hint, where: str, base):
+def _from_json(value, hint, where: str, base=None):
     if is_dataclass(hint):
         return dataclass_from_dict(hint, value, where, base)
     if get_origin(hint) is tuple:
         if not isinstance(value, list):
             raise FormatError(f"{where}: expected a list, got {type(value).__name__}")
         item = get_args(hint)[0]
+        # the element decoder is chosen once: a checkpoint holds thousands of scalars
+        decode = _from_json if is_dataclass(item) or get_origin(item) is tuple else _scalar_from_json
         try:
-            return tuple(_from_json(v, item, where, None) for v in value)
+            return tuple([decode(v, item, where) for v in value])
         except FormatError:
             # decode again naming each element, which raises at the first bad one
             for i, v in enumerate(value):
-                _from_json(v, item, f"{where}[{i}]", None)
+                decode(v, item, f"{where}[{i}]")
             raise
+    return _scalar_from_json(value, hint, where)
+
+
+def _scalar_from_json(value, hint, where: str):
     accepted = _JSON_TYPES.get(hint, str)
     if isinstance(value, bool) != (hint is bool) or not isinstance(value, accepted):
         raise FormatError(f"{where}: expected {hint.__name__}, got {type(value).__name__} {value!r}")

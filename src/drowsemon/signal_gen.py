@@ -93,10 +93,6 @@ class PpgSignal:
         if self.samples.size and not np.all(np.isfinite(self.samples)):
             raise ValueError("samples must be finite (no NaN/Inf)")
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.fs
-
 
 @dataclass(frozen=True)
 class NoiseSpec:

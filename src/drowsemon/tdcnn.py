@@ -145,16 +145,18 @@ class TrainParams:
 
 @dataclass(frozen=True)
 class Assessment:
-    """Binary decision: scores at or below 0.5 read as Drowsy."""
+    """A wakefulness score and the binary decision it reads as: scores at
+    or below 0.5 are Drowsy."""
 
     score: float
-    label: Label
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must be in [0, 1], got {self.score}")
-        if self.label is not INDEX_LABEL[_verdict(self.score)]:
-            raise ValueError(f"label {self.label} inconsistent with score {self.score}")
+
+    @property
+    def label(self) -> Label:
+        return INDEX_LABEL[_verdict(self.score)]
 
 
 def _verdict(scores):
@@ -549,7 +551,7 @@ def assess_window(model: TdcnnModel, patterns) -> Assessment:
     if len(patterns) == 0:
         raise ValueError("assess_window needs at least one pattern")
     score = float(np.mean(predict_wakeful_scores(model, _pattern_rows(patterns))))
-    return Assessment(score=score, label=INDEX_LABEL[_verdict(score)])
+    return Assessment(score)
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ class BoundingBox:
             raise ValueError(f"box needs w > 0 and h > 0, got w={self.w}, h={self.h}")
 
 
-def init_rcca_weights(channels: int, seed: int, gamma: float = 1.0) -> RccaWeights:
+def init_rcca_weights(channels: int, seed: int) -> RccaWeights:
     """Random projections at 1/sqrt(C) scale; reduced dim is max(1, C // 8)."""
     if channels < 1:
         raise ValueError(f"channels must be >= 1, got {channels}")
@@ -82,7 +82,6 @@ def init_rcca_weights(channels: int, seed: int, gamma: float = 1.0) -> RccaWeigh
         w_query=rng.normal(0.0, scale, size=(reduced, channels)),
         w_key=rng.normal(0.0, scale, size=(reduced, channels)),
         w_value=rng.normal(0.0, scale, size=(channels, channels)),
-        gamma=gamma,
     )
 
 

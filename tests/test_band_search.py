@@ -265,6 +265,25 @@ class TestValidation:
         with pytest.raises(ValueError, match=rf"min_width_hz=9\.5 .* {band}"):
             SearchSpace(grid_hz=0.5, min_width_hz=9.5)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"grid_hz": 5e-324},
+             "grid_hz=5e-324 is too fine: the 1.0-10.0 Hz band has more steps than a float can hold"),
+            ({"grid_hz": 1e-320},
+             "grid_hz=1e-320 is too fine: the 1.0-10.0 Hz band has more steps than a float can hold"),
+            ({"min_width_hz": 1e308},
+             "no layer of min_width_hz=1e+308 fits the 1.0-10.0 Hz band on a 0.5 Hz grid"),
+            ({"grid_hz": 1e-300, "min_width_hz": 1e10},
+             "no layer of min_width_hz=10000000000.0 fits the 1.0-10.0 Hz band on a 1e-300 Hz grid"),
+        ],
+        ids=["grid-subnormal", "grid-tiny", "width-huge", "width-over-grid-overflows"],
+    )
+    def test_step_counts_past_float_range_name_the_field(self, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            SearchSpace(**kwargs)
+        assert str(info.value) == message
+
     def test_rl_params_invariants(self):
         with pytest.raises(ValueError):
             RlParams(epsilon=1.5)

@@ -203,25 +203,26 @@ def synthetic_stack(n_channels=33, n_samples=1000, seed=0, taps=101):
     return FilteredStack(rng.normal(size=(n_channels, n_samples)), meta, fs=100.0, label=Label.WAKEFUL)
 
 
-def stacked_pattern_signals(stack, margin=None):
-    return np.stack([p.values for p in pattern_signals(stack, margin=margin)])
+def stacked_pattern_signals(stack):
+    return np.stack([p.values for p in pattern_signals(stack)])
 
 
 class PatternExtractionCases:
     """Count, indexing and margin cases, run once per extraction path:
-    ``extract`` returns the retained patterns as a (rows, channels) matrix."""
+    ``extract`` returns the retained patterns as a (rows, channels) matrix.
+    A stack's margin is set through its longest kernel's tap count."""
 
     extract = None
 
     def test_count_and_length(self):
-        stack = synthetic_stack(n_channels=33, n_samples=1000)
-        patterns = self.extract(stack, margin=350)
+        stack = synthetic_stack(n_channels=33, n_samples=1000, taps=701)
+        patterns = self.extract(stack)
         assert patterns.shape == (300, 33)
 
     def test_indexing_identity(self):
-        stack = synthetic_stack(n_channels=7, n_samples=200, seed=3)
+        stack = synthetic_stack(n_channels=7, n_samples=200, seed=3, taps=81)
         margin = 40
-        patterns = self.extract(stack, margin=margin)
+        patterns = self.extract(stack)
         rng = np.random.default_rng(1)
         for _ in range(20):
             j = int(rng.integers(len(patterns)))
@@ -234,34 +235,24 @@ class PatternExtractionCases:
         assert len(patterns) == 400 - 2 * 50
 
     def test_margin_too_large_rejected(self):
-        stack = synthetic_stack(n_samples=100)
+        stack = synthetic_stack(n_samples=100, taps=101)
         with pytest.raises(ValueError, match="margin"):
-            self.extract(stack, margin=50)
-
-    def test_negative_margin_rejected(self):
-        stack = synthetic_stack(n_samples=100)
-        with pytest.raises(ValueError, match="margin"):
-            self.extract(stack, margin=-1)
+            self.extract(stack)
 
 
 class TestPatternSignals(PatternExtractionCases):
     extract = staticmethod(stacked_pattern_signals)
 
-    def test_source_index_is_sample_index(self):
-        stack = synthetic_stack(n_channels=7, n_samples=200, seed=3)
-        patterns = pattern_signals(stack, margin=40)
-        assert [p.source_index for p in patterns] == list(range(40, 160))
-
     def test_constant_channels_give_constant_patterns(self):
         meta = [ChannelMeta(0, i, 1.0, 2.0, 11) for i in range(4)]
         channels = np.tile(np.arange(4, dtype=float)[:, None], (1, 50))
         stack = FilteredStack(channels, meta, fs=100.0)
-        for p in pattern_signals(stack, margin=5):
+        for p in pattern_signals(stack):
             assert np.array_equal(p.values, np.arange(4, dtype=float))
 
     def test_label_propagates(self):
         stack = synthetic_stack(n_samples=120)
-        assert all(p.label is Label.WAKEFUL for p in pattern_signals(stack, margin=10))
+        assert all(p.label is Label.WAKEFUL for p in pattern_signals(stack))
 
 
 class TestPatternRows(PatternExtractionCases):

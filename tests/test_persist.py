@@ -199,11 +199,13 @@ class TestModelRoundTrip:
              r"weights\[7\]: expected str, got float 0\.5$"),
             (lambda obj: obj["weights"].__setitem__(5, "abc"),
              r"weights\[5\]: expected a number, got 'abc'$"),
+            (lambda obj: obj["weights"].__setitem__(5, None),
+             r"weights\[5\]: expected str, got NoneType None$"),
             (lambda obj: obj.update(schema_version="1"),
              r"schema_version: expected int, got str '1'$"),
         ],
         ids=["unknown-key", "schema-version-2", "no-schema-version", "numeric-weights",
-             "one-numeric-weight", "unparsable-weight", "string-schema-version"],
+             "one-numeric-weight", "unparsable-weight", "null-weight", "string-schema-version"],
     )
     def test_lenient_checkpoint_refused(self, tmp_path, change, message):
         arch = ArchSpec(n_blocks=2, kernel_size=3, channels=4, dilation_schedule=(2, 4))

@@ -518,7 +518,14 @@ class TestCliCommands:
             (
                 "search-bands",
                 {"search": {"min_width_hz": 1e308}},
-                ("FormatError", "{}: search: cannot convert float infinity to integer"),
+                ("FormatError",
+                 "{}: search: no layer of min_width_hz=1e+308 fits the 1.0-10.0 Hz band on a 0.5 Hz grid"),
+            ),
+            (
+                "search-bands",
+                {"search": {"grid_hz": 5e-324}},
+                ("FormatError",
+                 "{}: search: grid_hz=5e-324 is too fine: the 1.0-10.0 Hz band has more steps than a float can hold"),
             ),
         ],
     )
