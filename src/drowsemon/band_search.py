@@ -73,6 +73,12 @@ class SearchSpace:
             raise ValueError(
                 f"no layer of min_width_hz={self.min_width_hz} fits the {band} on a {self.grid_hz} Hz grid"
             )
+        pairs = self._pair_count()
+        if pairs > _ENUMERATION_GUARD:
+            raise ValueError(
+                f"grid_hz={self.grid_hz} with min_width_hz={self.min_width_hz} gives "
+                f"{pairs} layer pairs, more than {_ENUMERATION_GUARD}"
+            )
 
     @property
     def n_steps(self) -> int:
@@ -84,6 +90,12 @@ class SearchSpace:
     def _min_width_steps(self) -> int:
         return int(math.ceil(self.min_width_hz / self.grid_hz - _GRID_TOL))
 
+    def _pair_count(self) -> int:
+        """Size of ``layer_pairs()``: (lo, hi) pairs ``w`` or more steps apart
+        among ``n + 1`` edges number m(m+1)/2, with m = n - w + 1."""
+        m = self.n_steps - self._min_width_steps() + 1
+        return m * (m + 1) // 2
+
     def layer_pairs(self) -> list[tuple[int, int]]:
         """All representable (lo, hi) index pairs of one layer, ascending."""
         w = self._min_width_steps()
@@ -91,7 +103,7 @@ class SearchSpace:
         return [(i, j) for i in range(n + 1) for j in range(i + w, n + 1)]
 
     def size(self) -> int:
-        return len(self.layer_pairs()) ** self.n_layers
+        return self._pair_count() ** self.n_layers
 
     def config_from_indices(self, idx: IndexConfig) -> HyperFilterConfig:
         layers = tuple((self.edge_value(i), self.edge_value(j)) for i, j in idx)

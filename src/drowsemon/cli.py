@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Every subcommand validates its inputs before writing any output file and
-exits nonzero with a machine-readable JSON error object on stderr when
-something goes wrong.
+Each ``_cmd_*`` handler validates its inputs before writing any output file
+and returns the JSON object it reports. ``main`` alone writes output: it
+prints that object, saves a result command's copy under ``--out``, and maps
+a refused input to exit code 1 with a one-line JSON error object on stderr.
 """
 
 from __future__ import annotations
@@ -57,19 +58,9 @@ def _load_config(args) -> PipelineConfig:
     return config
 
 
-def _write_result(args, name: str, obj: dict) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
-    if getattr(args, "out", None):
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        persist.dump_json(out / name, obj)
-
-
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> dict:
     config = _load_config(args)
-    manifest = run_pipeline(config)
-    print(json.dumps({"status": manifest.status, "out_dir": config.out_dir}, sort_keys=True))
-    return 0
+    return {"status": run_pipeline(config).status, "out_dir": config.out_dir}
 
 
 def _require_signals(config: PipelineConfig) -> None:
@@ -77,13 +68,11 @@ def _require_signals(config: PipelineConfig) -> None:
         raise ValueError("config generates zero signals (n_per_class=0)")
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> dict:
     config = _load_config(args)
     _require_signals(config)
     emit = ArtifactWriter(config.out_dir)
-    signals = synth_stage(config, emit)
-    print(json.dumps({"n_signals": len(signals), "out_dir": str(emit.out)}, sort_keys=True))
-    return 0
+    return {"n_signals": len(synth_stage(config, emit)), "out_dir": str(emit.out)}
 
 
 def _bands_from_args(args) -> HyperFilterConfig:
@@ -92,65 +81,47 @@ def _bands_from_args(args) -> HyperFilterConfig:
     return _load_config(args).bands
 
 
-def _cmd_filter(args) -> int:
+def _cmd_filter(args) -> dict:
     signal = persist.load_signal_csv(args.signal)
     bands = _bands_from_args(args)
     stack = hyper_filter(signal, bands)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    persist.save_stack_csv(out / "stack.csv", stack)
-    persist.save_hyper_config(out / "bands.json", bands)
-    print(
-        json.dumps(
-            {"n_channels": stack.n_channels, "n_samples": stack.n_samples, "out_dir": str(out)},
-            sort_keys=True,
-        )
-    )
-    return 0
+    emit = ArtifactWriter(args.out)
+    emit("stack.csv", persist.save_stack_csv, stack)
+    emit("bands.json", persist.save_hyper_config, bands)
+    return {"n_channels": stack.n_channels, "n_samples": stack.n_samples, "out_dir": str(emit.out)}
 
 
-def _cmd_search_bands(args) -> int:
+def _cmd_search_bands(args) -> dict:
     config = _load_config(args)
     _require_signals(config)
     emit = ArtifactWriter(config.out_dir)
     _, best_reward = search_stage(config, generate_signals(config), emit)
-    print(json.dumps({"best_reward": best_reward, "out_dir": str(emit.out)}, sort_keys=True))
-    return 0
+    return {"best_reward": best_reward, "out_dir": str(emit.out)}
 
 
-def _cmd_build_dataset(args) -> int:
+def _cmd_build_dataset(args) -> dict:
     config = _load_config(args)
     emit = ArtifactWriter(config.out_dir)
     dataset = dataset_stage(config, generate_signals(config), config.bands, emit)
-    print(
-        json.dumps(
-            {"n_rows": len(dataset), "n_channels": dataset.n_channels, "out_dir": str(emit.out)},
-            sort_keys=True,
-        )
-    )
-    return 0
+    return {"n_rows": len(dataset), "n_channels": dataset.n_channels, "out_dir": str(emit.out)}
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> dict:
     config = _load_config(args)
     dataset = persist.load_dataset_csv(args.dataset)
     emit = ArtifactWriter(config.out_dir)
     model, _, val_ds = train_stage(config, dataset, emit)
     report = eval_report(model, val_ds)
     emit("metrics.json", persist.dump_json, report)
-    print(json.dumps({"val_accuracy": report["overall_accuracy"], "out_dir": str(emit.out)}, sort_keys=True))
-    return 0
+    return {"val_accuracy": report["overall_accuracy"], "out_dir": str(emit.out)}
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> dict:
     model = persist.load_model(args.model)
-    dataset = persist.load_dataset_csv(args.dataset)
-    report = eval_report(model, dataset)
-    _write_result(args, "metrics.json", report)
-    return 0
+    return eval_report(model, persist.load_dataset_csv(args.dataset))
 
 
-def _cmd_assess(args) -> int:
+def _cmd_assess(args) -> dict:
     model = persist.load_model(args.model)
     signal = persist.load_signal_csv(args.signal)
     bands = _bands_from_args(args)
@@ -180,18 +151,16 @@ def _cmd_assess(args) -> int:
     if not windows:
         raise ValueError(f"signal of {n} samples is shorter than one {window}-sample window")
     overall = float(np.mean([w["score"] for w in windows]))
-    result = {
+    return {
         "windows": windows,
         "overall": {
             "score": overall,
             "label": Assessment(overall).label.value,
         },
     }
-    _write_result(args, "assessment.json", result)
-    return 0
 
 
-def _cmd_salient(args) -> int:
+def _cmd_salient(args) -> dict:
     boxes = persist.load_boxes(args.boxes)
     # exactly one complete pair of flags
     flags = (args.min_height, args.min_width, args.frame_height, args.frame_width)
@@ -205,29 +174,25 @@ def _cmd_salient(args) -> int:
             "give either --min-height and --min-width, or --frame-height and --frame-width"
         )
     kept = filter_salient(boxes, min_h, min_w)
-    result = {
+    return {
         "min_height": min_h,
         "min_width": min_w,
         "n_input": len(boxes),
         "n_salient": len(kept),
         "boxes": [persist.dataclass_to_dict(b) for b in kept],
     }
-    _write_result(args, "salient.json", result)
-    return 0
 
 
-def _cmd_miou(args) -> int:
+def _cmd_miou(args) -> dict:
     pred = persist.load_mask_pgm(args.pred)
     gt = persist.load_mask_pgm(args.gt)
-    result = {
+    return {
         "miou": miou(pred, gt, args.classes),
         "per_class": {str(k): v for k, v in iou_per_class(pred, gt, args.classes).items()},
     }
-    _write_result(args, "miou.json", result)
-    return 0
 
 
-def _cmd_rcca_check(args) -> int:
+def _cmd_rcca_check(args) -> dict:
     h, w, c = args.height, args.width, args.channels
     rng = np.random.default_rng(args.seed)
     x = rng.normal(size=(h, w, c))
@@ -254,7 +219,7 @@ def _cmd_rcca_check(args) -> int:
                 single_ok = False
             if not np.all(d2 > 0):
                 double_ok = False
-    result = {
+    return {
         "height": h,
         "width": w,
         "channels": c,
@@ -262,8 +227,6 @@ def _cmd_rcca_check(args) -> int:
         "single_pass_max_off_cross_influence": off_cross_max,
         "double_pass_full_context": double_ok,
     }
-    _write_result(args, "rcca_check.json", result)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--dataset", type=Path, required=True)
     p.add_argument("--out", type=Path, help="optional output directory")
-    p.set_defaults(fn=_cmd_eval)
+    p.set_defaults(fn=_cmd_eval, result="metrics.json")
 
     p = sub.add_parser("assess", help="streaming window assessment of a signal file")
     p.add_argument("--model", type=Path, required=True)
@@ -318,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bands", type=Path, help="band layout JSON")
     p.add_argument("--window-s", type=float, help="window length in seconds (default: whole signal)")
     p.add_argument("--out", type=Path, help="optional output directory")
-    p.set_defaults(fn=_cmd_assess)
+    p.set_defaults(fn=_cmd_assess, result="assessment.json")
 
     p = sub.add_parser("salient", help="keep boxes exceeding a size threshold")
     p.add_argument("--boxes", type=Path, required=True, help="boxes JSON")
@@ -327,14 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame-height", type=int, help="derive thresholds from the frame size")
     p.add_argument("--frame-width", type=int)
     p.add_argument("--out", type=Path, help="optional output directory")
-    p.set_defaults(fn=_cmd_salient)
+    p.set_defaults(fn=_cmd_salient, result="salient.json")
 
     p = sub.add_parser("miou", help="mean IoU between two PGM label masks")
     p.add_argument("--pred", type=Path, required=True)
     p.add_argument("--gt", type=Path, required=True)
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--out", type=Path, help="optional output directory")
-    p.set_defaults(fn=_cmd_miou)
+    p.set_defaults(fn=_cmd_miou, result="miou.json")
 
     p = sub.add_parser("rcca-check", help="verify the attention influence pattern")
     p.add_argument("--height", type=int, default=4)
@@ -342,24 +305,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channels", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, help="optional output directory")
-    p.set_defaults(fn=_cmd_rcca_check)
+    p.set_defaults(fn=_cmd_rcca_check, result="rcca_check.json")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # a result command prints its document indented and saves a copy under --out
+    result_name = getattr(args, "result", None)
     try:
-        return args.fn(args)
-    except PipelineError as exc:
-        payload = {"error": {"type": type(exc).__name__, "message": str(exc), "stage": exc.stage}}
-        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
+        obj = args.fn(args)
+        print(json.dumps(obj, sort_keys=True, indent=2 if result_name else None))
+        if result_name and args.out:
+            ArtifactWriter(args.out)(result_name, persist.dump_json, obj)
+    except (PipelineError, ValueError, OSError) as exc:
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, PipelineError):
+            error["stage"] = exc.stage
+        print(json.dumps({"error": error}, sort_keys=True), file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
-        payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-        return 1
+    return 0
 
 
 def entrypoint() -> None:

@@ -347,9 +347,13 @@ def save_model(path: str | Path, model: TdcnnModel) -> None:
 def load_model(path: str | Path) -> TdcnnModel:
     where = str(path)
     doc = dataclass_from_dict(_Checkpoint, load_json(path), where)
-    flat = np.array(
-        [_parse_float(v, lambda: f"{where}: weights[{i}]") for i, v in enumerate(doc.weights)]
-    )
+    try:
+        flat = np.array(list(map(float, doc.weights)))
+    except ValueError:
+        # the same parse one element at a time, only to name the element it refuses
+        for i, v in enumerate(doc.weights):
+            _parse_float(v, lambda: f"{where}: weights[{i}]")
+        raise
     model = init_model(doc.arch, seed=0)
     expected = sum(a.size for a in model_arrays(model))
     if flat.size != expected:

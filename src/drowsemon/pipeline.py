@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import ClassVar
@@ -357,11 +358,20 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
         dump_json(emit.out / "manifest.json", manifest.to_dict())
         return manifest
 
+    @contextmanager
+    def stage(name: str):
+        """Time the stage; on failure write the failed manifest and raise."""
+        started = time.perf_counter()
+        try:
+            yield
+        except Exception as exc:
+            finish("failed", failed_stage=name, error=str(exc))
+            raise PipelineError(name, exc) from exc
+        timings[name] = time.perf_counter() - started
+
     emit("config.json", dump_json, config_to_dict(config))
 
-    stage = "synth"
-    try:
-        started = time.perf_counter()
+    with stage("synth"):
         signals = synth_stage(config, emit)
         if signals:
             first = signals[0]
@@ -371,38 +381,26 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
                 {first.label.value: list(first.samples)},
                 "Generated PPG trace", "time [s]", "amplitude",
             )
-        timings[stage] = time.perf_counter() - started
 
-        stage = "bands"
-        started = time.perf_counter()
+    with stage("bands"):
         bands = config.bands
         if config.search.enabled:
             bands, metrics["search_best_reward"] = search_stage(config, signals, emit)
         emit("bands.json", save_hyper_config, bands)
-        timings[stage] = time.perf_counter() - started
 
-        stage = "dataset"
-        started = time.perf_counter()
+    with stage("dataset"):
         dataset = dataset_stage(config, signals, bands, emit)
         metrics["reward"] = dataset_reward(dataset)
-        timings[stage] = time.perf_counter() - started
 
-        stage = "train"
-        started = time.perf_counter()
+    with stage("train"):
         model, history, val_ds = train_stage(config, dataset, emit)
         mlp_model, mlp_acc = train_baseline_mlp(dataset, _train_params(config))
         metrics["best_val_accuracy"] = max((a for _, _, a in history), default=None)
-        timings[stage] = time.perf_counter() - started
 
-        stage = "eval"
-        started = time.perf_counter()
+    with stage("eval"):
         metrics["tdcnn"] = eval_report(model, val_ds)
         metrics["baseline_mlp"] = eval_report(mlp_model, val_ds)
         metrics["baseline_mlp"]["best_val_accuracy"] = float(mlp_acc)
         emit("metrics.json", dump_json, metrics)
-        timings[stage] = time.perf_counter() - started
-    except Exception as exc:
-        finish("failed", failed_stage=stage, error=str(exc))
-        raise PipelineError(stage, exc) from exc
 
     return finish("ok")

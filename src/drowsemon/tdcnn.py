@@ -27,6 +27,7 @@ so the backward pass applies both with one product.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass
 
@@ -454,18 +455,10 @@ def _adam_step(
         p -= hp.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
-def _val_accuracy(model, dataset: PatternDataset, seed: int):
-    """Callback: ``model``'s accuracy on the validation rows of the seeded split."""
-    _, val_idx = split_indices(len(dataset), seed)
-    x_val = dataset.values[val_idx]
-    y_val = dataset.labels[val_idx]
-    return lambda: float(np.mean(_verdict(predict_wakeful_scores(model, x_val)) == y_val))
-
-
 def _adam_train(
+    model,
     arrays: list[np.ndarray],
     loss_grad,
-    val_accuracy,
     dataset: PatternDataset,
     params: TrainParams,
     rng: np.random.Generator,
@@ -473,20 +466,26 @@ def _adam_train(
 ) -> tuple[float, list[tuple[int, float, float]]]:
     """Seeded Adam on the training rows of the 80/20 split, for both classifiers.
 
-    Each epoch shuffles the rows with ``rng``, steps ``arrays`` in place on
-    ``loss_grad(rows)`` (the batch loss and one gradient per array), then
-    scores them with ``val_accuracy()``. A snapshot is kept whenever it beats
-    ``best_acc`` (``None``: the untrained arrays' accuracy) and is written back
-    into ``arrays`` at the end. Returns its accuracy and the history rows
-    (epoch, mean train loss, validation accuracy).
+    Each epoch shuffles the rows with ``rng``, steps ``arrays`` (the weights
+    of ``model``) in place on ``loss_grad(x, y)`` (the batch loss and one
+    gradient per array), then scores ``model`` on the validation rows. A
+    snapshot is kept whenever it beats ``best_acc`` (``None``: the untrained
+    model's accuracy) and is written back into ``arrays`` at the end. Returns
+    its accuracy and the history rows (epoch, mean train loss, validation
+    accuracy).
     """
     dataset.require_both_classes()
+    # both classes present means n >= 2, which leaves at least one row on
+    # each side of the split
+    train_idx, val_idx = split_indices(len(dataset), params.seed)
+    x_val, y_val = dataset.values[val_idx], dataset.labels[val_idx]
+
+    def val_accuracy() -> float:
+        return float(np.mean(_verdict(predict_wakeful_scores(model, x_val)) == y_val))
+
     # scored only now: a dataset without both classes is refused before any scoring
     if best_acc is None:
         best_acc = val_accuracy()
-    # both classes present means n >= 2, which leaves at least one row on
-    # each side of the split
-    train_idx, _ = split_indices(len(dataset), params.seed)
     m = [np.zeros_like(a) for a in arrays]
     v = [np.zeros_like(a) for a in arrays]
     best = [a.copy() for a in arrays]
@@ -496,7 +495,8 @@ def _adam_train(
         order = rng.permutation(train_idx.size)
         losses = []
         for start in range(0, train_idx.size, params.batch_size):
-            loss, grads = loss_grad(train_idx[order[start : start + params.batch_size]])
+            rows = train_idx[order[start : start + params.batch_size]]
+            loss, grads = loss_grad(dataset.values[rows], dataset.labels[rows])
             t_step += 1
             _adam_step(arrays, grads, m, v, t_step, params)
             losses.append(loss)
@@ -522,18 +522,14 @@ def train(
     rng = np.random.default_rng([params.seed, 3])
     work = clone_model(model)
 
-    def loss_grad(rows: np.ndarray) -> tuple[float, list[np.ndarray]]:
+    def loss_grad(x: np.ndarray, y: np.ndarray) -> tuple[float, list[np.ndarray]]:
         # drawn after the epoch's permutation, from the same generator
         dropout_seed = int(rng.integers(0, 2**62))
-        loss, grads = _loss_and_grad_arrays(
-            work, dataset.values[rows][:, None, :], dataset.labels[rows],
-            train_mode=True, seed=dropout_seed,
-        )
+        loss, grads = _loss_and_grad_arrays(work, x[:, None, :], y, train_mode=True, seed=dropout_seed)
         return loss, model_arrays(grads)
 
-    val_accuracy = _val_accuracy(work, dataset, params.seed)
     # -1 makes the first epoch's model the first snapshot
-    _, history = _adam_train(model_arrays(work), loss_grad, val_accuracy, dataset, params, rng, -1.0)
+    _, history = _adam_train(work, model_arrays(work), loss_grad, dataset, params, rng, -1.0)
     return work, history
 
 
@@ -600,13 +596,10 @@ def train_baseline_mlp(
         b2=np.zeros(n_classes),
     )
 
-    def loss_grad(rows: np.ndarray) -> tuple[float, list[np.ndarray]]:
-        return _mlp_loss_grad(model, dataset.values[rows], dataset.labels[rows])
-
-    val_accuracy = _val_accuracy(model, dataset, params.seed)
     arrays = [model.w1, model.b1, model.w2, model.b2]
     rng = np.random.default_rng([params.seed, 2])
-    best_acc, _ = _adam_train(arrays, loss_grad, val_accuracy, dataset, params, rng, None)
+    loss_grad = functools.partial(_mlp_loss_grad, model)
+    best_acc, _ = _adam_train(model, arrays, loss_grad, dataset, params, rng, None)
     return model, best_acc
 
 

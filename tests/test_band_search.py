@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from drowsemon.band_search import (
     reward,
 )
 from drowsemon.filterbank import HyperFilterConfig, hyper_filter, pattern_signals
+from drowsemon.persist import FormatError
+from drowsemon.pipeline import config_from_dict
 from drowsemon.signal_gen import Label, PpgSignal
 
 
@@ -283,6 +286,26 @@ class TestValidation:
         with pytest.raises(ValueError) as info:
             SearchSpace(**kwargs)
         assert str(info.value) == message
+
+    def test_pair_count_past_the_guard_is_refused_before_any_pair_is_built(self):
+        started = time.perf_counter()
+        with pytest.raises(FormatError) as info:
+            config_from_dict({"schema_version": 1, "search": {"grid_hz": 1e-6}})
+        assert time.perf_counter() - started < 1.0
+        assert str(info.value) == (
+            "config: search: grid_hz=1e-06 with min_width_hz=1.0 gives 32000012000001 layer pairs, "
+            "more than 100000"
+        )
+        assert config_from_dict({"schema_version": 1, "search": {"grid_hz": 0.05}}).search.grid_hz == 0.05
+
+    @pytest.mark.parametrize(
+        "grid_hz, min_width_hz, n_layers",
+        [(3.0, 6.0, 1), (3.0, 6.0, 2), (0.5, 1.0, 1), (0.5, 1.0, 2), (9.0, 9.0, 1), (0.05, 0.05, 2),
+         (1.0, 1.0, 1), (1.0, 4.0, 1)],
+    )
+    def test_size_is_the_pair_count_to_the_layer_count(self, grid_hz, min_width_hz, n_layers):
+        space = SearchSpace(grid_hz, min_width_hz, n_layers, bands_per_layer=3)
+        assert space.size() == len(space.layer_pairs()) ** n_layers
 
     def test_rl_params_invariants(self):
         with pytest.raises(ValueError):

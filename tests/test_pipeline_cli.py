@@ -1,13 +1,14 @@
 import argparse
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from drowsemon.band_search import dataset_reward
-from drowsemon.cli import build_parser, main
+from drowsemon.cli import build_parser, entrypoint, main
 from drowsemon.filterbank import HyperFilterConfig, PatternDataset, hyper_filter, pattern_signals
 from drowsemon.persist import (
     FormatError,
@@ -586,6 +587,62 @@ class TestCliCommands:
         result = json.loads(capsys.readouterr().out)
         assert result["single_pass_cross_only"] is True
         assert result["double_pass_full_context"] is True
+
+    def test_result_commands_print_the_document_they_save(self, tmp_path, capsys):
+        cfg_path, config = self.write_config(tmp_path)
+        save_model(tmp_path / "model.json", init_model(config.arch, seed=1))
+        save_signal_csv(tmp_path / "sig.csv", generate_ppg(WAKEFUL_PRESET, 8.0, 100, seed=5))
+        values = np.random.default_rng(0).normal(size=(6, 3))
+        save_dataset_csv(tmp_path / "ds.csv", PatternDataset(values, np.array([0, 1] * 3)))
+        save_boxes(tmp_path / "boxes.json", [BoundingBox(0, 0, 5, 10), BoundingBox(0, 0, 3, 3)])
+        save_mask_pgm(tmp_path / "mask.pgm", np.eye(4, dtype=int))
+        commands = {
+            "metrics.json": ["eval", "--model", str(tmp_path / "model.json"),
+                             "--dataset", str(tmp_path / "ds.csv")],
+            "assessment.json": ["assess", "--model", str(tmp_path / "model.json"),
+                                "--signal", str(tmp_path / "sig.csv"), "--config", str(cfg_path)],
+            "salient.json": ["salient", "--boxes", str(tmp_path / "boxes.json"),
+                             "--min-height", "8", "--min-width", "4"],
+            "miou.json": ["miou", "--pred", str(tmp_path / "mask.pgm"), "--gt", str(tmp_path / "mask.pgm"),
+                          "--classes", "2"],
+            "rcca_check.json": ["rcca-check", "--height", "2", "--width", "3", "--channels", "2"],
+        }
+        for name, argv in commands.items():
+            out = tmp_path / name.removesuffix(".json")
+            assert main([*argv, "--out", str(out)]) == 0, name
+            printed = capsys.readouterr().out
+            assert printed.startswith("{\n  "), name
+            assert json.loads(printed) == load_json(out / name), name
+            assert [p.name for p in out.iterdir()] == [name]
+
+    def test_summary_commands_print_one_line(self, tmp_path, capsys):
+        search = SearchConfig(grid_hz=3.0, min_width_hz=6.0, episodes=2, steps_per_episode=2)
+        cfg_path, _ = self.write_config(tmp_path, search=search)
+        out = tmp_path / "out"
+        runs = [
+            ["synth", "--config", str(cfg_path)],
+            ["filter", "--signal", str(out / "signals" / "drowsy_000.csv"), "--config", str(cfg_path),
+             "--out", str(tmp_path / "filtered")],
+            ["search-bands", "--config", str(cfg_path)],
+            ["build-dataset", "--config", str(cfg_path)],
+            ["train", "--config", str(cfg_path), "--dataset", str(out / "dataset.csv")],
+            ["run", "--config", str(cfg_path), "--out", str(tmp_path / "run")],
+        ]
+        for argv in runs:
+            assert main(argv) == 0, argv[0]
+            printed = capsys.readouterr().out
+            assert printed.endswith("}\n") and printed.count("\n") == 1, argv[0]
+            assert "out_dir" in json.loads(printed)
+
+    def test_entrypoint_exits_with_mains_code(self, tmp_path, capsys, monkeypatch):
+        save_boxes(tmp_path / "boxes.json", [BoundingBox(0, 0, 5, 10)])
+        for flags, code in ((["--min-height", "8", "--min-width", "4"], 0), (["--min-height", "8"], 1)):
+            argv = ["drowsemon", "salient", "--boxes", str(tmp_path / "boxes.json"), *flags]
+            monkeypatch.setattr(sys, "argv", argv)
+            with pytest.raises(SystemExit) as info:
+                entrypoint()
+            assert info.value.code == code
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValueError"
 
     def test_missing_file_gives_json_error(self, tmp_path, capsys):
         rc = main(["eval", "--model", str(tmp_path / "nope.json"), "--dataset", str(tmp_path / "nope.csv")])
