@@ -315,6 +315,8 @@ def main(argv: list[str] | None = None) -> int:
     # a result command prints its document indented and saves a copy under --out
     result_name = getattr(args, "result", None)
     try:
+        if getattr(args, "out", None) and args.out.exists() and not args.out.is_dir():
+            raise NotADirectoryError(f"--out {args.out} exists and is not a directory")
         obj = args.fn(args)
         print(json.dumps(obj, sort_keys=True, indent=2 if result_name else None))
         if result_name and args.out:

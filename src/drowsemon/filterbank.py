@@ -8,10 +8,14 @@ samples outside the longest kernel's edge margin become patterns.
 matrix; ``build_dataset`` stacks those of many labeled signals for the
 classifiers and the band-search reward. ``pattern_signals`` gives the
 rows of one signal as ``PatternSignal`` objects carrying its label.
+``_kernel_bank`` designs the latest (layout, fs) pair's kernels once, with
+read-only taps shared by every signal; ``apply_filter`` computes only the
+input-length part of each convolution, bitwise equal to the full one sliced.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -140,7 +144,7 @@ class PatternSignal:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 1:
             raise ValueError("pattern values must be 1-D")
-        if self.values.size and not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("pattern values must be finite")
 
 
@@ -232,8 +236,8 @@ def apply_filter(kernel: FilterKernel, signal: PpgSignal) -> PpgSignal:
     if x.size < 1:
         raise ValueError("signal must contain at least one sample")
     mid = (kernel.taps.size - 1) // 2
-    full = np.convolve(x, kernel.taps)
-    y = full[mid : mid + x.size]
+    # "same" starts at full index (min(taps, n) - 1) // 2: shift it to ``mid``
+    y = np.convolve(x, kernel.taps, "same")[max(0, mid - (x.size - 1) // 2) :][: x.size]
     return PpgSignal(y, fs=signal.fs, label=signal.label)
 
 
@@ -267,6 +271,17 @@ def _max_taps(config: HyperFilterConfig, fs: float) -> int:
     return max(_tap_count(fs, transition) for *_, transition in _sub_bands(config))
 
 
+@functools.lru_cache(maxsize=1)
+def _kernel_bank(config: HyperFilterConfig, fs: float) -> tuple[tuple[ChannelMeta, FilterKernel], ...]:
+    """Every channel's metadata and kernel, in channel order, with read-only taps."""
+    bank = []
+    for *sub, lo, hi, transition in _sub_bands(config):
+        kernel = design_bandpass(lo, hi, fs, transition)
+        kernel.taps.flags.writeable = False
+        bank.append((ChannelMeta(*sub, lo, hi, kernel.taps.size), kernel))
+    return tuple(bank)
+
+
 def hyper_filter(signal: PpgSignal, config: HyperFilterConfig) -> FilteredStack:
     """Filter one signal through every (layer, sub-band) kernel.
 
@@ -280,11 +295,9 @@ def hyper_filter(signal: PpgSignal, config: HyperFilterConfig) -> FilteredStack:
             f"hyper-filtering this band layout needs at least {max_taps} samples, "
             f"got {signal.samples.size}"
         )
-    bands = list(_sub_bands(config))
-    kernels = [design_bandpass(lo, hi, signal.fs, tr) for _, _, lo, hi, tr in bands]
-    meta = [ChannelMeta(*sub[:4], k.taps.size) for sub, k in zip(bands, kernels)]
-    channels = np.stack([apply_filter(k, signal).samples for k in kernels])
-    return FilteredStack(channels, meta, fs=signal.fs, label=signal.label)
+    bank = _kernel_bank(config, signal.fs)
+    channels = np.stack([apply_filter(k, signal).samples for _, k in bank])
+    return FilteredStack(channels, [m for m, _ in bank], fs=signal.fs, label=signal.label)
 
 
 def pattern_rows(stack: FilteredStack) -> np.ndarray:

@@ -1,14 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drowsemon import filterbank
 from drowsemon.filterbank import (
     ChannelMeta,
     FilteredStack,
+    FilterKernel,
     HyperFilterConfig,
+    PatternSignal,
     SignalTooShortError,
     apply_filter,
     build_dataset,
@@ -18,6 +22,7 @@ from drowsemon.filterbank import (
     pattern_signals,
     subband_edges,
 )
+from drowsemon.pipeline import default_config, generate_signals
 from drowsemon.signal_gen import Label, PpgSignal
 
 
@@ -105,6 +110,17 @@ class TestApplyFilter:
         for n in (1, 10, 661, 999):
             out = apply_filter(k, PpgSignal(np.ones(n), fs=100.0))
             assert out.samples.size == n
+
+    @pytest.mark.parametrize("taps", [3, 661, 1615])
+    def test_bitwise_equal_to_the_sliced_full_convolution(self, taps):
+        rng = np.random.default_rng(taps)
+        kernel = FilterKernel(rng.normal(size=taps))
+        mid = (taps - 1) // 2
+        for n in [*range(1, 41), taps - 1, taps, taps + 1, 2400]:
+            x = rng.normal(size=n)
+            out = apply_filter(kernel, PpgSignal(x, fs=100.0)).samples
+            expected = np.convolve(x, kernel.taps)[mid : mid + n]
+            assert out.shape == expected.shape and out.tobytes() == expected.tobytes(), n
 
 
 class TestSubbandEdges:
@@ -195,6 +211,53 @@ class TestHyperFilter:
             HyperFilterConfig(((1.0, 11.0),))
         with pytest.raises(ValueError):
             HyperFilterConfig(((1.0, 10.0),), bands_per_layer=0)
+
+
+class TestKernelBank:
+    def test_build_dataset_designs_each_kernel_once(self, monkeypatch):
+        config = default_config()
+        signals = generate_signals(replace(config, generation=replace(config.generation, n_per_class=2)))
+        calls = []
+        design = filterbank.design_bandpass
+
+        def counted(*args):
+            calls.append(args)
+            return design(*args)
+
+        monkeypatch.setattr(filterbank, "design_bandpass", counted)
+        filterbank._kernel_bank.cache_clear()
+        try:
+            build_dataset(signals, config.bands, 1)
+        finally:
+            filterbank._kernel_bank.cache_clear()
+        assert len(signals) == 4 and len(calls) == 33
+
+    def test_cached_taps_are_read_only(self):
+        bank = filterbank._kernel_bank(default_config().bands, 100.0)
+        with pytest.raises(ValueError, match="read-only"):
+            bank[0][1].taps[0] = 1.0
+
+    def test_channels_equal_fresh_kernels_bitwise(self):
+        config = HyperFilterConfig(((1.0, 10.0), (2.0, 6.0)), bands_per_layer=4)
+        signal = PpgSignal(np.random.default_rng(6).normal(size=1500), 100.0)
+        for stack in (hyper_filter(signal, config), hyper_filter(signal, config)):
+            for channel, m in zip(stack.channels, stack.channel_meta):
+                kernel = design_bandpass(m.f_lo, m.f_hi, 100.0, min(0.5, (m.f_hi - m.f_lo) / 2))
+                assert channel.tobytes() == apply_filter(kernel, signal).samples.tobytes()
+
+
+class TestPatternSignal:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_refused(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PatternSignal(np.array([0.5, bad, 1.0]))
+
+    def test_two_dimensional_values_refused(self):
+        with pytest.raises(ValueError, match="1-D"):
+            PatternSignal(np.zeros((2, 3)))
+
+    def test_empty_vector_accepted(self):
+        assert PatternSignal(np.array([])).values.shape == (0,)
 
 
 def synthetic_stack(n_channels=33, n_samples=1000, seed=0, taps=101):

@@ -650,6 +650,36 @@ class TestCliCommands:
         err = json.loads(capsys.readouterr().err)
         assert "error" in err and err["error"]["message"]
 
+    def test_out_naming_a_file_is_refused_before_the_handler_runs(self, tmp_path, capsys, monkeypatch):
+        cfg_path, config = self.write_config(tmp_path)
+        save_model(tmp_path / "model.json", init_model(config.arch, seed=1))
+        save_signal_csv(tmp_path / "sig.csv", generate_ppg(DROWSY_PRESET, 8.0, 100, seed=0))
+        save_dataset_csv(tmp_path / "ds.csv", PatternDataset(np.zeros((2, 3)), np.array([0, 1])))
+        calls = []
+        monkeypatch.setattr("drowsemon.cli.hyper_filter", lambda *a: calls.append(a))
+        taken = tmp_path / "taken.txt"
+        taken.write_text("keep me\n")
+        runs = [
+            ["eval", "--model", str(tmp_path / "model.json"), "--dataset", str(tmp_path / "ds.csv")],
+            ["filter", "--signal", str(tmp_path / "sig.csv"), "--config", str(cfg_path)],
+        ]
+        for argv in runs:
+            assert main([*argv, "--out", str(taken)]) == 1, argv[0]
+            captured = capsys.readouterr()
+            assert captured.out == "", argv[0]
+            assert captured.err.count("\n") == 1, argv[0]
+            assert json.loads(captured.err) == {
+                "error": {
+                    "type": "NotADirectoryError",
+                    "message": f"--out {taken} exists and is not a directory",
+                }
+            }, argv[0]
+        assert calls == []
+        assert taken.read_text() == "keep me\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "ds.csv", "model.json", "sig.csv", "taken.txt"
+        ]
+
     def test_pipeline_error_reports_stage(self, tmp_path, capsys):
         cfg_path, _ = self.write_config(
             tmp_path, generation=GenerationConfig(duration_s=8.0, fs=100.0, n_per_class=0)
