@@ -50,6 +50,8 @@ class FormatError(ValueError):
     """Malformed persistent file; the message carries file and position."""
 
 
+# Arrays are written as ``map(repr, array.tolist())``: ``tolist`` yields Python
+# floats, so each value reads as ``_fmt`` writes it, without a call per value.
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -235,7 +237,7 @@ def _read_sample_header(path, lines: list[str]) -> tuple[float, Label | None]:
 def save_signal_csv(path: str | Path, signal: PpgSignal) -> None:
     """Header comment line '# fs=<hz>,label=<name>' then one sample per row."""
     lines = [_sample_header(signal.fs, signal.label)]
-    lines.extend(_fmt(v) for v in signal.samples)
+    lines.extend(map(repr, signal.samples.tolist()))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -278,8 +280,7 @@ def save_stack_csv(path: str | Path, stack: FilteredStack) -> None:
             f"# channel={i},layer={m.layer},band={m.band},"
             f"f_lo={_fmt(m.f_lo)},f_hi={_fmt(m.f_hi)},taps={m.taps}"
         )
-    for row in stack.channels.T:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(",".join(map(repr, row.tolist())) for row in stack.channels.T)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -289,11 +290,11 @@ def save_stack_csv(path: str | Path, stack: FilteredStack) -> None:
 
 
 def save_dataset_csv(path: str | Path, dataset: PatternDataset) -> None:
+    # no field holds a comma, quote or line break, so rows need no CSV quoting
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["label"] + [f"c{i}" for i in range(dataset.n_channels)])
-        for row, label in zip(dataset.values, dataset.labels):
-            writer.writerow([INDEX_LABEL[int(label)].value] + [_fmt(v) for v in row])
+        fh.write(",".join(["label", *(f"c{i}" for i in range(dataset.n_channels))]) + "\n")
+        for row, label in zip(dataset.values, dataset.labels.tolist()):
+            fh.write(",".join([INDEX_LABEL[label].value, *map(repr, row.tolist())]) + "\n")
 
 
 def load_dataset_csv(path: str | Path) -> PatternDataset:

@@ -10,18 +10,16 @@ Normalization standardizes each time step across channels (learned
 per-channel scale and shift), which keeps every activation at time t a
 function of inputs at times <= t, so the stack stays causal end to end.
 
-Every channel contraction (the convolution taps, the 1->channels residual
-projection and their gradients) is a BLAS product through ``np.matmul`` or
-``np.tensordot``. In the forward pass each product runs once per batch row
-on that row alone, so a row's output does not depend on the rows batched
-with it. Inference (``predict_wakeful_scores``, ``assess``,
-``assess_window``) runs that one forward pass over blocks of at most
-``_INFER_ROWS`` rows, which bounds the activations held at once whatever the
-number of rows scored.
-
-The forward pass keeps one record per block, ``(inp, gate, xhat, s)``:
-``gate`` is the derivative of the block's ReLU and dropout taken together,
-so the backward pass applies both with one product.
+Each block holds its activations as one (channels, time·rows) matrix whose
+column ``t·rows + b`` is row b at time t. A causal tap that looks back l
+steps is then one BLAS product whose result lands l·rows columns to the
+right; its weight gradient is one product of contiguous column slices; and
+the normalization reduces over the contiguous channel axis. Training,
+``forward`` and inference (``predict_wakeful_scores``, ``assess``,
+``assess_window``) share that one forward pass. Inference runs it over
+blocks of rows (``_INFER_ROWS``, ``_INFER_COLUMNS``), which bounds the
+activations held at once whatever the number of rows scored, and a row's
+score is bitwise the same whatever block it falls in (``_forward_batch``).
 """
 
 from __future__ import annotations
@@ -67,8 +65,12 @@ _ALLOWED_DILATIONS = (2, 4, 8, 16)
 _DEFAULT_SCHEDULE = (2, 4, 8, 16) * 3
 # Rows per inference forward pass: at the default architecture a block of 32
 # 33-long rows holds under 4 MB of activations and block records, and a whole
-# validation set in one pass would hold them for every row at once.
+# validation set in one pass would hold them for every row at once. Longer rows
+# go fewer to a pass, so no product is over _INFER_COLUMNS (time·rows) wide:
+# OpenBLAS rounds all columns of a (16, 16) @ (16, n) product alike up to n ≈
+# 3,900, and the last columns of a wider one otherwise.
 _INFER_ROWS = 32
+_INFER_COLUMNS = 2048
 
 
 @dataclass(frozen=True)
@@ -234,58 +236,42 @@ def _tap_lags(kernel_size: int, dilation: int, t: int) -> list[tuple[int, int]]:
     return [(j, lag) for j, lag in lags if lag < t]
 
 
-def _causal_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, dilation: int) -> np.ndarray:
-    """Causal dilated convolution of (batch, in, time) input.
+def _causal_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, dilation: int, rows: int) -> np.ndarray:
+    """Causal dilated convolution of (in, time·rows) input.
 
-    ``y[:, :, t] = b + sum_j w[:, :, j] @ x[:, :, t - lag_j]`` with
-    ``lag_j = (k - 1 - j) * dilation`` and x read as zero before time 0 (the
-    left zero padding of a causal convolution). Each tap is one
-    (out, in) @ (in, time) matmul per batch row over the time steps it
-    reaches, added into the output shifted by its lag; neither a padded nor a
-    k-fold shifted copy of the input is built.
+    Output column ``t·rows + r`` is ``b + sum_j w[:, :, j] @ x[:, (t - lag_j)·rows
+    + r]`` with ``lag_j = (k - 1 - j) * dilation`` and x read as zero before
+    time 0 (the left zero padding of a causal convolution). Each tap is one
+    product over every column, added into the output ``lag_j·rows`` columns to
+    the right; no padded or shifted copy of the input is built.
     """
-    t = x.shape[2]
-    (j0, _), *taps = _tap_lags(w.shape[2], dilation, t)
-    y = b[:, None] + np.matmul(w[:, :, j0], x)
+    n = x.shape[1]
+    (j0, _), *taps = _tap_lags(w.shape[2], dilation, n // rows)
+    # (k, in, out): each ``wt[j].T`` is a Fortran-ordered (out, in) operand
+    wt = w.transpose(2, 1, 0).copy()
+    y = wt[j0].T @ x
+    y += b[:, None]
+    tap = np.empty_like(y)
     for j, lag in taps:
-        y[:, :, lag:] += np.matmul(w[:, :, j], x[:, :, : t - lag])
+        y[:, lag * rows :] += np.matmul(wt[j].T, x, out=tap)[:, : n - lag * rows]
     return y
 
 
 def _causal_conv_backward(
-    dy: np.ndarray, x: np.ndarray, w: np.ndarray, dilation: int
+    dy: np.ndarray, x: np.ndarray, w: np.ndarray, dilation: int, rows: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (dx, dw, db) of the causal dilated convolution."""
-    t = dy.shape[2]
-    dx = np.zeros_like(x)
+    """Gradients (dx, dw, db) of the causal dilated convolution: one product
+    for each tap's ``dx`` and one for its ``dw``, on column slices."""
+    n = dy.shape[1]
+    (j0, _), *taps = _tap_lags(w.shape[2], dilation, n // rows)
     dw = np.zeros_like(w)
-    for j, lag in _tap_lags(w.shape[2], dilation, t):
-        dx[:, :, : t - lag] += np.matmul(w[:, :, j].T, dy[:, :, lag:])
-        dw[:, :, j] = np.tensordot(dy[:, :, lag:], x[:, :, : t - lag], axes=([0, 2], [0, 2]))
-    db = dy.sum(axis=(0, 2))
-    return dx, dw, db
-
-
-def _norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Standardize each time step across channels, then scale/shift per channel."""
-    xc = x - x.mean(axis=1, keepdims=True)
-    var = (xc * xc).mean(axis=1, keepdims=True)
-    s = np.sqrt(var + _NORM_EPS)
-    xhat = xc / s
-    y = gamma[None, :, None] * xhat + beta[None, :, None]
-    return y, xhat, s
-
-
-def _norm_backward(
-    dy: np.ndarray, xhat: np.ndarray, s: np.ndarray, gamma: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    dgamma = np.einsum("bct,bct->c", dy, xhat)
-    dbeta = dy.sum(axis=(0, 2))
-    dxhat = dy * gamma[None, :, None]
-    m1 = dxhat.mean(axis=1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-    dx = (dxhat - m1 - xhat * m2) / s
-    return dx, dgamma, dbeta
+    dx = w[:, :, j0].T @ dy
+    dw[:, :, j0] = dy @ x.T
+    for j, lag in taps:
+        shift = lag * rows
+        dx[:, : n - shift] += w[:, :, j].T @ dy[:, shift:]
+        dw[:, :, j] = dy[:, shift:] @ x[:, : n - shift].T
+    return dx, dw, dy.sum(axis=1)
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -305,38 +291,59 @@ def _cross_entropy(probs: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]
 
 
 def _forward_batch(model: TdcnnModel, x: np.ndarray, train_mode: bool = False, seed: int = 0):
-    """Run the stack on (batch, 1, time) input; return ``(probs, pooled, caches, h)``.
+    """Run the stack on (rows, time) input; return ``(probs, pooled, caches, out)``.
 
     With ``train_mode`` on, spatial dropout masks are drawn from ``seed``.
-    Each block's cache is ``(inp, gate, xhat, s)``: the block's input, the
-    derivative of its ReLU·dropout (the dropout scale where the normalized
-    value is positive, else zero) and the normalization's ``xhat`` and ``s``.
-    ``h`` is the last block's output.
+    Each block's cache is ``(inp, gate, xhat, s)`` in the (channels,
+    time·rows) layout: the block's input, the derivative of its ReLU·dropout
+    (the dropout scale where the normalized value is positive, else zero) and
+    the normalization's ``xhat`` and ``s``. ``out`` is the last block's
+    output as a (rows, channels, time) copy.
+
+    In eval mode a row's scores are bitwise the same whatever rows share its
+    pass. Three rules keep them so: each tap weight is a Fortran-ordered
+    operand (with a C-ordered one a column's bits depend on the product's
+    width modulo 8); each tap's product spans every column, since a
+    one-column product takes BLAS's matrix-vector kernel; and pooling
+    averages over contiguous time in ``out``, since a strided mean adds in
+    another order than a one-row pairwise sum.
     """
+    if x.size == 1 and not train_mode:
+        # one column would take BLAS's matrix-vector kernel and numpy's pairwise
+        # channel sums, so a lone one-sample row runs beside a copy of itself
+        probs, pooled, caches, out = _forward_batch(model, np.repeat(x, 2, axis=0))
+        return probs[:1], pooled[:1], [tuple(a[..., :1] for a in c) for c in caches], out[:1]
     arch = model.arch
     p = arch.dropout_rate
     rng = np.random.default_rng(seed) if train_mode else None
-    h = x
+    rows, t = x.shape
+    h = x.T.reshape(1, -1)
     caches = []
     for blk, dilation in zip(model.blocks, arch.dilation_schedule):
         inp = h
-        conv = _causal_conv(inp, blk.conv_w, blk.conv_b, dilation)
-        norm, xhat, s = _norm_forward(conv, blk.gamma, blk.beta)
-        branch = np.maximum(norm, 0.0)
-        gate = norm > 0
+        # standardize each column across channels, then scale and shift per channel
+        xhat = _causal_conv(inp, blk.conv_w, blk.conv_b, dilation, rows)
+        xhat -= xhat.mean(axis=0)
+        s = np.sqrt(np.einsum("cn,cn->n", xhat, xhat) / arch.channels + _NORM_EPS)
+        xhat /= s
+        h = xhat * blk.gamma[:, None]
+        h += blk.beta[:, None]
+        gate = h > 0
+        np.maximum(h, 0.0, out=h)
         if train_mode and p > 0.0:
-            mask = ((rng.random((x.shape[0], arch.channels)) >= p) / (1.0 - p))[:, :, None]
-            branch = branch * mask
-            gate = gate * mask
-        res = inp if blk.proj_w is None else np.matmul(blk.proj_w, inp)
-        h = branch + res
+            # one draw per (row, channel), repeated over the row's time steps
+            mask = np.tile(((rng.random((rows, arch.channels)) >= p) / (1.0 - p)).T, t)
+            h *= mask
+            gate = np.multiply(mask, gate, out=mask)
+        h += inp if blk.proj_w is None else blk.proj_w @ inp
         caches.append((inp, gate, xhat, s))
-    pooled = h.mean(axis=2)
+    out = h.reshape(-1, t, rows).transpose(2, 0, 1).copy()
+    pooled = out.mean(axis=2)
     # one (1, channels) @ (channels, classes) product per row: ``pooled @
     # head_w.T`` lets BLAS pick its kernel by batch size, and a row's scores
     # would then depend on how many rows share its forward pass
     logits = np.matmul(pooled[:, None, :], model.head_w.T)[:, 0, :] + model.head_b
-    return _softmax_rows(logits), pooled, caches, h
+    return _softmax_rows(logits), pooled, caches, out
 
 
 def _pattern_rows(patterns) -> np.ndarray:
@@ -361,54 +368,44 @@ def forward(
     With ``train_mode`` on, spatial dropout masks are drawn from ``seed``,
     so repeated calls with the same seed agree bitwise.
     """
-    return _forward_batch(model, _pattern_rows([pattern])[:, None, :], train_mode, seed)[0][0]
+    return _forward_batch(model, _pattern_rows([pattern]), train_mode, seed)[0][0]
 
 
 def block_activations(model: TdcnnModel, pattern: PatternSignal) -> list[np.ndarray]:
     """Pre-pooling output of every block (eval mode), each (channels, time)."""
-    _, _, caches, h = _forward_batch(model, _pattern_rows([pattern])[:, None, :])
-    # a block's output is the next block's input
-    outs = [cache[0] for cache in caches[1:]] + [h]
-    return [out[0] for out in outs]
+    _, _, caches, out = _forward_batch(model, _pattern_rows([pattern]))
+    # a block's output is the next block's input, and one row's matrix is (channels, time)
+    return [cache[0] for cache in caches[1:]] + [out[0]]
 
 
 def _loss_and_grad_arrays(
-    model: TdcnnModel,
-    x: np.ndarray,
-    y: np.ndarray,
-    train_mode: bool = False,
-    seed: int = 0,
+    model: TdcnnModel, x: np.ndarray, y: np.ndarray, train_mode: bool = False, seed: int = 0
 ) -> tuple[float, TdcnnModel]:
-    probs, pooled, caches, h = _forward_batch(model, x, train_mode, seed)
+    probs, pooled, caches, out = _forward_batch(model, x, train_mode, seed)
     loss, dlogits = _cross_entropy(probs, y)
     dpooled = dlogits @ model.head_w
-    t_len = h.shape[2]
-    dh = np.repeat(dpooled[:, :, None], t_len, axis=2) / t_len
+    rows, _, t_len = out.shape
+    # column t·rows + b of every time step t gets row b's pooling gradient
+    dh = np.tile(dpooled.T / t_len, t_len)
 
     grad_blocks = []
-    for blk, dilation, cache in zip(
+    for blk, dilation, (inp, gate, xhat, s) in zip(
         reversed(model.blocks), reversed(model.arch.dilation_schedule), reversed(caches)
     ):
-        inp, gate, xhat, s = cache
-        dproj = None if blk.proj_w is None else np.tensordot(dh, inp, axes=([0, 2], [0, 2]))
-        d_inp_res = dh if blk.proj_w is None else np.matmul(blk.proj_w.T, dh)
-        d_conv, dgamma, dbeta = _norm_backward(dh * gate, xhat, s, blk.gamma)
-        d_inp_conv, dw, db = _causal_conv_backward(d_conv, inp, blk.conv_w, dilation)
-        grad_blocks.append(BlockWeights(dw, db, dgamma, dbeta, dproj))
-        dh = d_inp_conv + d_inp_res
+        dproj = None if blk.proj_w is None else dh @ inp.T
+        d_inp_res = dh if blk.proj_w is None else blk.proj_w.T @ dh
+        dy = dh * gate
+        dyx = dy * xhat
+        # the channel means of dxhat = gamma·dy are products with gamma
+        d_conv = dy * blk.gamma[:, None]
+        d_conv -= xhat * ((blk.gamma @ dyx) / blk.gamma.size)
+        d_conv -= (blk.gamma @ dy) / blk.gamma.size
+        d_conv *= 1.0 / s
+        dh, dw, db = _causal_conv_backward(d_conv, inp, blk.conv_w, dilation, rows)
+        dh += d_inp_res
+        grad_blocks.append(BlockWeights(dw, db, dyx.sum(axis=1), dy.sum(axis=1), dproj))
 
     return loss, TdcnnModel(model.arch, grad_blocks[::-1], dlogits.T @ pooled, dlogits.sum(axis=0))
-
-
-def _batch_to_arrays(batch: list[tuple[PatternSignal, Label]]) -> tuple[np.ndarray, np.ndarray]:
-    if not batch:
-        raise ValueError("batch must not be empty")
-    x = _pattern_rows([p for p, _ in batch])[:, None, :]
-    try:
-        y = np.array([LABEL_INDEX[label] for _, label in batch], dtype=np.int64)
-    except KeyError as exc:
-        raise ValueError(f"unknown class label: {exc.args[0]!r}") from exc
-    return x, y
 
 
 def loss_and_grad(
@@ -424,8 +421,13 @@ def loss_and_grad(
     ReLU, normalization (including its mean/variance dependence) and the
     dilated convolutions.
     """
-    x, y = _batch_to_arrays(batch)
-    return _loss_and_grad_arrays(model, x, y, train_mode=train_mode, seed=seed)
+    if not batch:
+        raise ValueError("batch must not be empty")
+    try:
+        y = np.array([LABEL_INDEX[label] for _, label in batch], dtype=np.int64)
+    except KeyError as exc:
+        raise ValueError(f"unknown class label: {exc.args[0]!r}") from exc
+    return _loss_and_grad_arrays(model, _pattern_rows([p for p, _ in batch]), y, train_mode, seed)
 
 
 def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -525,7 +527,7 @@ def train(
     def loss_grad(x: np.ndarray, y: np.ndarray) -> tuple[float, list[np.ndarray]]:
         # drawn after the epoch's permutation, from the same generator
         dropout_seed = int(rng.integers(0, 2**62))
-        loss, grads = _loss_and_grad_arrays(work, x[:, None, :], y, train_mode=True, seed=dropout_seed)
+        loss, grads = _loss_and_grad_arrays(work, x, y, train_mode=True, seed=dropout_seed)
         return loss, model_arrays(grads)
 
     # -1 makes the first epoch's model the first snapshot
@@ -578,9 +580,7 @@ def _mlp_loss_grad(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[float
     return loss, [dhidden.T @ x, dhidden.sum(axis=0), dlogits.T @ hidden, dlogits.sum(axis=0)]
 
 
-def train_baseline_mlp(
-    dataset: PatternDataset, params: TrainParams
-) -> tuple[MlpModel, float]:
+def train_baseline_mlp(dataset: PatternDataset, params: TrainParams) -> tuple[MlpModel, float]:
     """Single-hidden-layer softmax baseline on the same split and optimizer.
 
     Returns the best-validation snapshot and its validation accuracy; with
@@ -606,8 +606,8 @@ def train_baseline_mlp(
 def predict_wakeful_scores(model, values: np.ndarray) -> np.ndarray:
     """Wakefulness probability per row for either classifier kind.
 
-    The TDCNN scores rows in blocks of ``_INFER_ROWS``; a row's score is
-    bitwise the same whatever block it falls in.
+    The TDCNN scores rows in blocks (``_INFER_ROWS``, ``_INFER_COLUMNS``); a
+    row's score is bitwise the same whatever block it falls in.
     """
     values = np.asarray(values, dtype=np.float64)
     wakeful = LABEL_INDEX[Label.WAKEFUL]
@@ -615,8 +615,8 @@ def predict_wakeful_scores(model, values: np.ndarray) -> np.ndarray:
         return _mlp_forward(model, values)[1][:, wakeful]
     if isinstance(model, TdcnnModel):
         scores = np.empty(values.shape[0])
-        for start in range(0, values.shape[0], _INFER_ROWS):
-            block = values[start : start + _INFER_ROWS]
-            scores[start : start + block.shape[0]] = _forward_batch(model, block[:, None, :])[0][:, wakeful]
+        step = max(1, min(_INFER_ROWS, _INFER_COLUMNS // max(1, values.shape[1])))
+        for i in range(0, len(values), step):
+            scores[i : i + step] = _forward_batch(model, values[i : i + step])[0][:, wakeful]
         return scores
     raise TypeError(f"unsupported model type: {type(model).__name__}")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -25,7 +26,7 @@ from drowsemon.persist import (
     save_signal_csv,
     save_stack_csv,
 )
-from drowsemon.signal_gen import DROWSY_PRESET, Label, PpgSignal, generate_ppg
+from drowsemon.signal_gen import DROWSY_PRESET, INDEX_LABEL, Label, PpgSignal, generate_ppg
 from drowsemon.tdcnn import ArchSpec, forward, init_model, model_arrays
 from drowsemon.filterbank import PatternSignal
 from drowsemon.vision import BoundingBox
@@ -114,6 +115,32 @@ class TestStackRoundTrip:
         ]
         values = np.loadtxt(path, delimiter=",", comments="#")
         assert np.array_equal(values, stack.channels.T)  # repr round-trip is exact
+
+
+class TestWrittenValueText:
+    # negative zero, the smallest subnormal, a large exponent and ordinary values
+    VALUES = [-0.0, 5e-324, 1e300, 0.1, -2.5, 1.0, 123456.789]
+
+    def expected(self):
+        return [repr(float(v)) for v in self.VALUES]
+
+    def test_signal_csv(self, tmp_path):
+        path = tmp_path / "signal.csv"
+        save_signal_csv(path, PpgSignal(np.array(self.VALUES), fs=100.0, label=Label.DROWSY))
+        assert path.read_text().splitlines()[1:] == self.expected()
+
+    def test_stack_csv(self, tmp_path, signal):
+        stack = hyper_filter(signal, HyperFilterConfig(((1.0, 10.0),), bands_per_layer=3))
+        stack = dataclasses.replace(stack, channels=np.tile(self.VALUES, (stack.n_channels, 1)))
+        path = tmp_path / "stack.csv"
+        save_stack_csv(path, stack)
+        rows = path.read_text().splitlines()[1 + stack.n_channels :]
+        assert rows == [",".join([v] * stack.n_channels) for v in self.expected()]
+
+    def test_dataset_csv(self, tmp_path):
+        path = tmp_path / "dataset.csv"
+        save_dataset_csv(path, PatternDataset(np.array([self.VALUES]), np.array([0])))
+        assert path.read_text().splitlines()[1] == ",".join([INDEX_LABEL[0].value, *self.expected()])
 
 
 class TestDatasetRoundTrip:

@@ -262,6 +262,19 @@ class TestLossAndGrad:
         with pytest.raises(ValueError, match="length"):
             loss_and_grad(model, batch)
 
+    def test_batch_is_the_mean_of_its_rows_at_default_depth(self):
+        # eval mode normalizes each time step of each row on its own, so a
+        # batch's loss and gradients are exactly the mean of its rows' results;
+        # a mix-up of batch and time columns anywhere in the stack breaks this
+        model = init_model(ArchSpec(), seed=2)
+        batch = tiny_batch(seed=9, batch=32, length=33)
+        loss, grads = loss_and_grad(model, batch)
+        per_row = [loss_and_grad(model, [item]) for item in batch]
+        assert abs(loss - np.mean([l for l, _ in per_row])) <= 1e-12 * abs(loss)
+        for k, grad in enumerate(model_arrays(grads)):
+            mean = np.mean([model_arrays(g)[k] for _, g in per_row], axis=0)
+            assert np.max(np.abs(grad - mean)) <= 1e-12 * np.max(np.abs(mean))
+
 
 class TestCausality:
     def test_upstream_activations_untouched(self):
@@ -451,6 +464,16 @@ class TestRowBlockedInference:
     def test_scores_equal_per_row_forward_bitwise(self, rows):
         model = init_model(ArchSpec(), seed=3)
         values = np.random.default_rng(rows).normal(size=(rows, 33))
+        per_row = [forward(model, PatternSignal(v))[LABEL_INDEX[Label.WAKEFUL]] for v in values]
+        assert np.array_equal(predict_wakeful_scores(model, values), per_row)
+
+    # every block is one (channels, time·rows) matrix, so the batch width
+    # changes each BLAS product's width: a row's score must not follow it
+    @pytest.mark.parametrize("length", [1, 20, 220])
+    @pytest.mark.parametrize("rows", [2, 3, 8, 31, 33])
+    def test_scores_do_not_depend_on_the_batch_width(self, rows, length):
+        model = init_model(ArchSpec(), seed=3)
+        values = np.random.default_rng([rows, length]).normal(size=(rows, length))
         per_row = [forward(model, PatternSignal(v))[LABEL_INDEX[Label.WAKEFUL]] for v in values]
         assert np.array_equal(predict_wakeful_scores(model, values), per_row)
 
