@@ -126,6 +126,8 @@ def _cmd_assess(args) -> dict:
     signal = persist.load_signal_csv(args.signal)
     bands = _bands_from_args(args)
     n = signal.samples.size
+    if not n:
+        raise ValueError(f"signal {args.signal} holds 0 samples")
     if args.window_s is not None:
         if not math.isfinite(args.window_s * signal.fs):
             raise ValueError(f"window of {args.window_s}s is not a finite number of samples at fs={signal.fs}")

@@ -1,9 +1,11 @@
 """File formats for every persistent value type.
 
-All reals are written as shortest round-trip decimal strings (``repr``),
-so load(save(x)) reproduces bit-identical doubles. JSON documents are
-emitted with sorted keys and a trailing newline, which makes artifact
-files byte-stable across runs.
+Reals are written as the ``repr`` of Python floats, an array as
+``map(repr, array.tolist())`` and a header scalar by ``_fmt``, and read by
+``_parse_floats``, one ``float`` pass that names the line or element of the
+first non-number; so load(save(x)) reproduces bit-identical doubles. JSON
+documents are emitted with sorted keys and a trailing newline, which makes
+artifact files byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import MISSING, astuple, dataclass, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
@@ -50,30 +52,32 @@ class FormatError(ValueError):
     """Malformed persistent file; the message carries file and position."""
 
 
-# Arrays are written as ``map(repr, array.tolist())``: ``tolist`` yields Python
-# floats, so each value reads as ``_fmt`` writes it, without a call per value.
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-# The parsers call ``where()`` for the location of their text only to raise,
-# so a reader formats no location for the values that parse.
-
-
-def _parse_float(text: str, where: Callable[[], str]) -> float:
+# The parsers call ``where(i)`` for the location of their i-th text only to
+# raise, so a reader formats no location for the values that parse.
+def _parse_floats(texts: Sequence[str], where: Callable[[int], str]) -> np.ndarray:
+    """float64 array of ``texts``; the first non-number is refused at ``where(i)``."""
     try:
-        return float(text)
-    except ValueError as exc:
-        raise FormatError(f"{where()}: expected a number, got {text!r}") from exc
+        return np.array(list(map(float, texts)))
+    except ValueError:
+        for i, text in enumerate(texts):
+            try:
+                float(text)
+            except ValueError as exc:
+                raise FormatError(f"{where(i)}: expected a number, got {text!r}") from exc
+        raise
 
 
-def _parse_label(text: str, where: Callable[[], str]) -> Label | None:
+def _parse_label(text: str, where: Callable[[int], str]) -> Label | None:
     if text == "":
         return None
     try:
         return Label(text)
     except ValueError as exc:
-        raise FormatError(f"{where()}: unknown label {text!r}") from exc
+        raise FormatError(f"{where(0)}: unknown label {text!r}") from exc
 
 
 def dump_json(path: str | Path, obj) -> None:
@@ -230,8 +234,8 @@ def _read_sample_header(path, lines: list[str]) -> tuple[float, Label | None]:
     match = re.fullmatch(r"#\s*fs=([^,]+),label=(.*)", lines[0].strip())
     if not match:
         raise FormatError(f"{path}:1: expected header '# fs=<hz>,label=<name>'")
-    at = lambda: f"{path}:1"
-    return _parse_float(match.group(1), at), _parse_label(match.group(2), at)
+    at = lambda _: f"{path}:1"
+    return _parse_floats([match.group(1)], at).item(), _parse_label(match.group(2), at)
 
 
 def save_signal_csv(path: str | Path, signal: PpgSignal) -> None:
@@ -244,13 +248,10 @@ def save_signal_csv(path: str | Path, signal: PpgSignal) -> None:
 def load_signal_csv(path: str | Path) -> PpgSignal:
     lines = Path(path).read_text().splitlines()
     fs, label = _read_sample_header(path, lines)
-    samples = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        text = line.strip()
-        if not text:
-            continue
-        samples.append(_parse_float(text, lambda: f"{path}:{lineno}"))
-    return PpgSignal(np.array(samples), fs=fs, label=label)
+    texts = [line.strip() for line in lines[1:]]
+    # blank lines hold no sample, so the i-th sample's line is counted on error
+    at = lambda i: f"{path}:{[n for n, text in enumerate(texts, start=2) if text][i]}"
+    return PpgSignal(_parse_floats(list(filter(None, texts)), at), fs=fs, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +308,8 @@ def load_dataset_csv(path: str | Path) -> PatternDataset:
         if not header or header[0] != "label":
             raise FormatError(f"{path}:1: header must start with 'label'")
         n_channels = len(header) - 1
+        if not n_channels:
+            raise FormatError(f"{path}:1: header names no channel column")
         values, labels = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -315,12 +318,12 @@ def load_dataset_csv(path: str | Path) -> PatternDataset:
                 raise FormatError(
                     f"{path}:{lineno}: row has {len(row)} fields, expected {n_channels + 1}"
                 )
-            at = lambda: f"{path}:{lineno}"
+            at = lambda _: f"{path}:{lineno}"
             label = _parse_label(row[0], at)
             if label is None:
                 raise FormatError(f"{path}:{lineno}: dataset rows need a class label")
             labels.append(LABEL_INDEX[label])
-            values.append([_parse_float(v, at) for v in row[1:]])
+            values.append(_parse_floats(row[1:], at))
     if not values:
         raise FormatError(f"{path}: dataset holds no rows")
     return PatternDataset(np.array(values), np.array(labels))
@@ -341,20 +344,14 @@ class _Checkpoint:
 def save_model(path: str | Path, model: TdcnnModel) -> None:
     """Arch descriptor plus flat weights (block-major, then head), every real
     encoded as a round-trip decimal string."""
-    flat = tuple(_fmt(v) for arr in model_arrays(model) for v in arr.ravel())
+    flat = tuple(map(repr, np.concatenate([a.ravel() for a in model_arrays(model)]).tolist()))
     dump_json(path, dataclass_to_dict(_Checkpoint(model.arch, flat)))
 
 
 def load_model(path: str | Path) -> TdcnnModel:
     where = str(path)
     doc = dataclass_from_dict(_Checkpoint, load_json(path), where)
-    try:
-        flat = np.array(list(map(float, doc.weights)))
-    except ValueError:
-        # the same parse one element at a time, only to name the element it refuses
-        for i, v in enumerate(doc.weights):
-            _parse_float(v, lambda: f"{where}: weights[{i}]")
-        raise
+    flat = _parse_floats(doc.weights, lambda i: f"{where}: weights[{i}]")
     model = init_model(doc.arch, seed=0)
     expected = sum(a.size for a in model_arrays(model))
     if flat.size != expected:

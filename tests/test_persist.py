@@ -71,6 +71,9 @@ class TestSignalRoundTrip:
             ("# fs=abc,label=Drowsy\n1.0\n", "sig.csv:1: expected a number, got 'abc'"),
             ("# fs=100.0,label=Sleepy\n1.0\n", "sig.csv:1: unknown label 'Sleepy'"),
             ("# fs=100.0,label=Drowsy\n1.0\n\nx\n", "sig.csv:4: expected a number, got 'x'"),
+            # a sample's line counts the blank lines before it
+            ("# fs=100.0,label=Drowsy\n\n1.0\n\n\n2.0\n \ny\n3.0\n",
+             "sig.csv:8: expected a number, got 'y'"),
         ],
     )
     def test_error_message_exact(self, tmp_path, text, message):
@@ -147,11 +150,14 @@ class TestDatasetRoundTrip:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         dataset = PatternDataset(rng.normal(size=(12, 5)), rng.integers(0, 2, size=12))
+        # negative zero, the smallest subnormal and the largest exponents
+        dataset.values[3, 1:] = [-0.0, 5e-324, 1e308, -1e308]
         path = tmp_path / "dataset.csv"
         save_dataset_csv(path, dataset)
         loaded = load_dataset_csv(path)
         assert np.array_equal(loaded.values, dataset.values)
         assert np.array_equal(loaded.labels, dataset.labels)
+        assert loaded.values.tobytes() == dataset.values.tobytes()  # the sign of zero too
 
     def test_unknown_label_reports_line(self, tmp_path):
         path = tmp_path / "dataset.csv"
@@ -167,6 +173,9 @@ class TestDatasetRoundTrip:
             ("label,c0,c1\nDrowsy,1.0,2.0\nWakeful,1.0,zz\n",
              "dataset.csv:3: expected a number, got 'zz'"),
             ("label,c0,c1\nDrowsy,1.0\n", "dataset.csv:2: row has 2 fields, expected 3"),
+            ("label,c0,c1\nDrowsy,1.0,2.0\n\nWakeful,3.0,4.0\nDrowsy,5.0,bad\n",
+             "dataset.csv:5: expected a number, got 'bad'"),
+            ("label\nDrowsy\n", "dataset.csv:1: header names no channel column"),
         ],
     )
     def test_error_message_exact(self, tmp_path, text, message):
@@ -226,18 +235,20 @@ class TestModelRoundTrip:
              r"weights\[7\]: expected str, got float 0\.5$"),
             (lambda obj: obj["weights"].__setitem__(5, "abc"),
              r"weights\[5\]: expected a number, got 'abc'$"),
+            (lambda obj: obj["weights"].__setitem__(-1, "1.0.0"),
+             r"weights\[9121\]: expected a number, got '1\.0\.0'$"),
             (lambda obj: obj["weights"].__setitem__(5, None),
              r"weights\[5\]: expected str, got NoneType None$"),
             (lambda obj: obj.update(schema_version="1"),
              r"schema_version: expected int, got str '1'$"),
         ],
         ids=["unknown-key", "schema-version-2", "no-schema-version", "numeric-weights",
-             "one-numeric-weight", "unparsable-weight", "null-weight", "string-schema-version"],
+             "one-numeric-weight", "unparsable-weight", "unparsable-last-weight", "null-weight",
+             "string-schema-version"],
     )
     def test_lenient_checkpoint_refused(self, tmp_path, change, message):
-        arch = ArchSpec(n_blocks=2, kernel_size=3, channels=4, dilation_schedule=(2, 4))
         path = tmp_path / "model.json"
-        save_model(path, init_model(arch, seed=0))
+        save_model(path, init_model(ArchSpec(), seed=0))  # 9,122 weights
         obj = json.loads(path.read_text())
         change(obj)
         path.write_text(json.dumps(obj))

@@ -9,7 +9,13 @@ import pytest
 
 from drowsemon.band_search import dataset_reward
 from drowsemon.cli import build_parser, entrypoint, main
-from drowsemon.filterbank import HyperFilterConfig, PatternDataset, hyper_filter, pattern_signals
+from drowsemon.filterbank import (
+    HyperFilterConfig,
+    PatternDataset,
+    hyper_filter,
+    pattern_rows,
+    pattern_signals,
+)
 from drowsemon.persist import (
     FormatError,
     dump_json,
@@ -20,6 +26,7 @@ from drowsemon.persist import (
     load_signal_csv,
     save_boxes,
     save_dataset_csv,
+    save_hyper_config,
     save_mask_pgm,
     save_model,
     save_signal_csv,
@@ -486,6 +493,69 @@ class TestCliCommands:
                 "type": "ValueError",
             }
         }
+
+    @pytest.mark.parametrize("window", [[], ["--window-s", "8"]], ids=["whole-signal", "window-s"])
+    def test_assess_refuses_an_empty_signal(self, tmp_path, capsys, window):
+        save_model(tmp_path / "model.json", init_model(ArchSpec(), seed=1))
+        sig_path = tmp_path / "sig.csv"
+        sig_path.write_text("# fs=100.0,label=\n")
+        out = tmp_path / "out"
+        assert main(["assess", "--model", str(tmp_path / "model.json"), "--signal", str(sig_path),
+                     *window, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": {"message": f"signal {sig_path} holds 0 samples", "type": "ValueError"}
+        }
+        assert not out.exists()
+
+    def test_bands_file_drives_filter_and_assess(self, tmp_path, capsys):
+        bands = HyperFilterConfig(((1.0, 10.0), (2.0, 8.0)), bands_per_layer=2)
+        save_hyper_config(tmp_path / "bands.json", bands)
+        sig = generate_ppg(WAKEFUL_PRESET, 16.0, 100, seed=5)
+        save_signal_csv(tmp_path / "sig.csv", sig)
+        n_channels = hyper_filter(sig, bands).n_channels
+        assert bands != default_config().bands
+        common = ["--signal", str(tmp_path / "sig.csv"), "--bands", str(tmp_path / "bands.json")]
+
+        assert main(["filter", *common, "--out", str(tmp_path / "filtered")]) == 0
+        assert json.loads(capsys.readouterr().out)["n_channels"] == n_channels
+        stack = np.loadtxt(tmp_path / "filtered" / "stack.csv", delimiter=",", comments="#")
+        assert stack.shape == (sig.samples.size, n_channels)
+        assert load_hyper_config(tmp_path / "filtered" / "bands.json") == bands
+
+        model = init_model(tiny_config(tmp_path).arch, seed=1)
+        save_model(tmp_path / "model.json", model)
+        assert main(["assess", "--model", str(tmp_path / "model.json"), *common, "--window-s", "8"]) == 0
+        windows = json.loads(capsys.readouterr().out)["windows"]
+        assert len(windows) == 2
+        for w in windows:
+            chunk = sig.samples[round(w["start_s"] * sig.fs) : round(w["end_s"] * sig.fs)]
+            patterns = pattern_rows(hyper_filter(PpgSignal(chunk, sig.fs, sig.label), bands))
+            assert patterns.shape[1] == n_channels
+            verdict = assess_window(model, patterns)
+            assert (w["score"], w["label"], w["n_patterns"]) == (
+                verdict.score, verdict.label.value, len(patterns)
+            )
+
+    def test_dataset_with_no_channel_column_is_refused(self, tmp_path, capsys):
+        cfg_path, config = self.write_config(tmp_path)
+        save_model(tmp_path / "model.json", init_model(config.arch, seed=1))
+        ds = tmp_path / "ds.csv"
+        ds.write_text("label\nDrowsy\nWakeful\n")
+        runs = [
+            ["eval", "--model", str(tmp_path / "model.json"), "--dataset", str(ds),
+             "--out", str(tmp_path / "eval")],
+            ["train", "--config", str(cfg_path), "--dataset", str(ds)],
+        ]
+        for argv in runs:
+            assert main(argv) == 1, argv[0]
+            captured = capsys.readouterr()
+            assert captured.out == "", argv[0]
+            assert json.loads(captured.err) == {
+                "error": {"message": f"{ds}:1: header names no channel column", "type": "FormatError"}
+            }, argv[0]
+        assert not (tmp_path / "eval").exists() and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command, doc, error",

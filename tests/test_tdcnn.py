@@ -7,10 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from drowsemon import tdcnn
 from drowsemon.filterbank import PatternDataset, PatternSignal
 from drowsemon.signal_gen import LABEL_INDEX, Label
 from drowsemon.tdcnn import (
+    _ADAM_EPS,
+    _INFER_COLUMNS,
     _INFER_ROWS,
+    _adam_step,
     ArchSpec,
     Assessment,
     MlpModel,
@@ -378,6 +382,29 @@ class TestTrain:
         assert val_accuracy(out, dataset, 3) == best
 
 
+class TestAdamStep:
+    def test_decayed_step_matches_hand_computation(self):
+        hp = TrainParams(lr=0.1, beta1=0.9, beta2=0.999, weight_decay=0.01)
+        p, g = [1.0, -2.0, 0.0], [0.5, 0.25, -0.125]
+        m, v, t = [0.1, -0.2, 0.0], [0.01, 0.04, 0.0], 3
+        expected_p, expected_m, expected_v = [], [], []
+        for pi, gi, mi, vi in zip(p, g, m, v):
+            gi = gi + 0.01 * pi  # decay folded into the gradient
+            mi = 0.9 * mi + (1 - 0.9) * gi
+            vi = 0.999 * vi + (1 - 0.999) * gi * gi
+            m_hat, v_hat = mi / (1 - 0.9**t), vi / (1 - 0.999**t)
+            expected_p.append(pi - 0.1 * m_hat / (math.sqrt(v_hat) + _ADAM_EPS))
+            expected_m.append(mi)
+            expected_v.append(vi)
+        params, grads = [np.array(p)], [np.array(g)]
+        ms, vs = [np.array(m)], [np.array(v)]
+        _adam_step(params, grads, ms, vs, t, hp)
+        np.testing.assert_allclose(params[0], expected_p, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(ms[0], expected_m, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(vs[0], expected_v, rtol=1e-12, atol=0)
+        assert np.array_equal(grads[0], g)  # the decay term is not added in place
+
+
 class TestAssess:
     def test_score_030_is_drowsy(self):
         verdict = assess(scored_model(0.3), PatternSignal(np.zeros(10)))
@@ -476,6 +503,27 @@ class TestRowBlockedInference:
         values = np.random.default_rng([rows, length]).normal(size=(rows, length))
         per_row = [forward(model, PatternSignal(v))[LABEL_INDEX[Label.WAKEFUL]] for v in values]
         assert np.array_equal(predict_wakeful_scores(model, values), per_row)
+
+    # row counts that leave a partial last block (at 2,100 every block is one row)
+    @pytest.mark.parametrize("length, rows", [(1, 33), (33, 70), (220, 20), (2100, 3)])
+    def test_passes_stay_within_the_column_bound(self, monkeypatch, length, rows):
+        model = init_model(ArchSpec(), seed=3)
+        values = np.random.default_rng([rows, length]).normal(size=(rows, length))
+        per_row = [forward(model, PatternSignal(v))[LABEL_INDEX[Label.WAKEFUL]] for v in values]
+        shapes = []
+        inner = tdcnn._forward_batch
+
+        def spy(model, x, *args, **kwargs):
+            shapes.append(x.shape)
+            return inner(model, x, *args, **kwargs)
+
+        monkeypatch.setattr(tdcnn, "_forward_batch", spy)
+        scores = predict_wakeful_scores(model, values)
+        # a row longer than the bound goes alone; more rows stay within it (a
+        # lone one-sample row's own pass beside its copy is a pass too)
+        assert shapes
+        assert all(1 <= n <= _INFER_ROWS and (n == 1 or n * t <= _INFER_COLUMNS) for n, t in shapes)
+        assert np.array_equal(scores, per_row)
 
 
 class TestMlpBaseline:
