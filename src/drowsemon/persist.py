@@ -23,7 +23,7 @@ import numpy as np
 
 from .filterbank import FilteredStack, HyperFilterConfig, PatternDataset
 from .signal_gen import INDEX_LABEL, LABEL_INDEX, Label, PpgSignal
-from .tdcnn import ArchSpec, TdcnnModel, TrainParams, init_model, model_arrays
+from .tdcnn import ArchSpec, TdcnnModel, TrainParams
 from .vision import BoundingBox
 
 __all__ = [
@@ -342,25 +342,19 @@ class _Checkpoint:
 
 
 def save_model(path: str | Path, model: TdcnnModel) -> None:
-    """Arch descriptor plus flat weights (block-major, then head), every real
-    encoded as a round-trip decimal string."""
-    flat = tuple(map(repr, np.concatenate([a.ravel() for a in model_arrays(model)]).tolist()))
-    dump_json(path, dataclass_to_dict(_Checkpoint(model.arch, flat)))
+    """Arch descriptor plus the weight vector ``model.params`` (block-major,
+    then head), every real encoded as a round-trip decimal string."""
+    dump_json(path, dataclass_to_dict(_Checkpoint(model.arch, tuple(map(repr, model.params.tolist())))))
 
 
 def load_model(path: str | Path) -> TdcnnModel:
     where = str(path)
     doc = dataclass_from_dict(_Checkpoint, load_json(path), where)
     flat = _parse_floats(doc.weights, lambda i: f"{where}: weights[{i}]")
-    model = init_model(doc.arch, seed=0)
-    expected = sum(a.size for a in model_arrays(model))
-    if flat.size != expected:
-        raise FormatError(f"{where}: expected {expected} weights, got {flat.size}")
-    pos = 0
-    for arr in model_arrays(model):
-        arr[...] = flat[pos : pos + arr.size].reshape(arr.shape)
-        pos += arr.size
-    return model
+    try:
+        return TdcnnModel(doc.arch, flat)
+    except ValueError as exc:  # a weight count that does not fit the architecture
+        raise FormatError(f"{where}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

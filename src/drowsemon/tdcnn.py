@@ -20,14 +20,20 @@ the normalization reduces over the contiguous channel axis. Training,
 blocks of rows (``_INFER_ROWS``, ``_INFER_COLUMNS``), which bounds the
 activations held at once whatever the number of rows scored, and a row's
 score is bitwise the same whatever block it falls in (``_forward_batch``).
+
+A model's weights are one float64 vector, ``TdcnnModel.params``, in
+``model_arrays`` order; every per-layer array is a view into it, and so is
+every field of the MLP baseline that Adam trains. Adam, the best-epoch
+snapshot, the copy ``train`` works on and the checkpoint each handle that
+one vector.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,9 +57,7 @@ __all__ = [
     "train_baseline_mlp",
     "predict_wakeful_scores",
     "receptive_field",
-    "parameter_count",
     "model_arrays",
-    "clone_model",
     "split_indices",
 ]
 
@@ -114,12 +118,42 @@ class BlockWeights:
     proj_w: np.ndarray | None = None  # (out_ch, in_ch) when channel counts differ
 
 
+def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive views of the 1-D ``flat``, one per shape, covering all of it."""
+    sizes = [math.prod(shape) for shape in shapes]
+    if flat.shape != (sum(sizes),):
+        raise ValueError(f"expected {sum(sizes)} weights, got {flat.size}")
+    ends = itertools.accumulate(sizes)
+    return [flat[end - size : end].reshape(shape) for shape, size, end in zip(shapes, sizes, ends)]
+
+
+def _weight_shapes(arch: ArchSpec) -> list[list[tuple[int, ...]]]:
+    """Weight shapes of each block in ``BlockWeights`` field order (``proj_w``
+    only where the channel count changes), then the head's."""
+    c, k = arch.channels, arch.kernel_size
+    ins = [IN_CHANNELS] + [c] * (arch.n_blocks - 1)
+    blocks = [[(c, c_in, k), (c,), (c,), (c,)] + ([(c, c_in)] if c_in != c else []) for c_in in ins]
+    return blocks + [[(arch.n_classes, c), (arch.n_classes,)]]
+
+
 @dataclass
 class TdcnnModel:
+    """An architecture and its weights as one 1-D float64 vector, ``params``,
+    in ``model_arrays`` order. ``blocks``, ``head_w`` (n_classes, channels)
+    and ``head_b`` (n_classes,) are views into ``params``, so writing either
+    writes both; a ``params`` of the wrong size is refused."""
+
     arch: ArchSpec
-    blocks: list[BlockWeights]
-    head_w: np.ndarray  # (n_classes, channels)
-    head_b: np.ndarray  # (n_classes,)
+    params: np.ndarray
+    blocks: list[BlockWeights] = field(init=False, repr=False)
+    head_w: np.ndarray = field(init=False, repr=False)
+    head_b: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        *blocks, head = _weight_shapes(self.arch)
+        views = iter(_views(self.params, [shape for group in (*blocks, head) for shape in group]))
+        self.blocks = [BlockWeights(*itertools.islice(views, len(group))) for group in blocks]
+        self.head_w, self.head_b = views
 
 
 @dataclass(frozen=True)
@@ -177,48 +211,23 @@ def init_model(arch: ArchSpec, seed: int) -> TdcnnModel:
     """Glorot-uniform weights, zero biases/shifts, unit scales; seeded."""
     rng = np.random.default_rng(seed)
     k = arch.kernel_size
-    blocks: list[BlockWeights] = []
-    c_in = IN_CHANNELS
-    for _ in arch.dilation_schedule:
-        c_out = arch.channels
-        conv_w = _glorot(rng, (c_out, c_in, k), fan_in=c_in * k, fan_out=c_out * k)
-        proj_w = None
-        if c_in != c_out:
-            proj_w = _glorot(rng, (c_out, c_in), fan_in=c_in, fan_out=c_out)
-        blocks.append(
-            BlockWeights(
-                conv_w=conv_w,
-                conv_b=np.zeros(c_out),
-                gamma=np.ones(c_out),
-                beta=np.zeros(c_out),
-                proj_w=proj_w,
-            )
-        )
-        c_in = c_out
-    head_w = _glorot(rng, (arch.n_classes, arch.channels), fan_in=arch.channels, fan_out=arch.n_classes)
-    head_b = np.zeros(arch.n_classes)
-    return TdcnnModel(arch=arch, blocks=blocks, head_w=head_w, head_b=head_b)
+    model = TdcnnModel(arch, np.zeros(sum(math.prod(s) for g in _weight_shapes(arch) for s in g)))
+    for blk in model.blocks:
+        c_out, c_in, _ = blk.conv_w.shape
+        blk.conv_w[...] = _glorot(rng, blk.conv_w.shape, fan_in=c_in * k, fan_out=c_out * k)
+        blk.gamma[...] = 1.0
+        if blk.proj_w is not None:
+            blk.proj_w[...] = _glorot(rng, blk.proj_w.shape, fan_in=c_in, fan_out=c_out)
+    model.head_w[...] = _glorot(rng, model.head_w.shape, fan_in=arch.channels, fan_out=arch.n_classes)
+    return model
 
 
 def model_arrays(model: TdcnnModel) -> list[np.ndarray]:
-    """Parameter arrays in the canonical flat order: for each block conv_w,
-    conv_b, gamma, beta, then proj_w where present; finally head_w, head_b.
-    This order is shared by the optimizer and the checkpoint format."""
-    out: list[np.ndarray] = []
-    for blk in model.blocks:
-        out.extend([blk.conv_w, blk.conv_b, blk.gamma, blk.beta])
-        if blk.proj_w is not None:
-            out.append(blk.proj_w)
-    out.extend([model.head_w, model.head_b])
-    return out
-
-
-def parameter_count(model: TdcnnModel) -> int:
-    return sum(a.size for a in model_arrays(model))
-
-
-def clone_model(model: TdcnnModel) -> TdcnnModel:
-    return copy.deepcopy(model)
+    """Parameter arrays in ``params`` order: for each block conv_w, conv_b,
+    gamma, beta, then proj_w where present; finally head_w, head_b. Each is
+    a view into ``model.params``."""
+    arrays = [a for blk in model.blocks for a in vars(blk).values() if a is not None]
+    return arrays + [model.head_w, model.head_b]
 
 
 def receptive_field(arch: ArchSpec) -> int:
@@ -388,11 +397,12 @@ def _loss_and_grad_arrays(
     # column t·rows + b of every time step t gets row b's pooling gradient
     dh = np.tile(dpooled.T / t_len, t_len)
 
+    # each block's gradients in ``model_arrays`` order, last block first
     grad_blocks = []
     for blk, dilation, (inp, gate, xhat, s) in zip(
         reversed(model.blocks), reversed(model.arch.dilation_schedule), reversed(caches)
     ):
-        dproj = None if blk.proj_w is None else dh @ inp.T
+        dproj = [] if blk.proj_w is None else [dh @ inp.T]
         d_inp_res = dh if blk.proj_w is None else blk.proj_w.T @ dh
         dy = dh * gate
         dyx = dy * xhat
@@ -403,9 +413,10 @@ def _loss_and_grad_arrays(
         d_conv *= 1.0 / s
         dh, dw, db = _causal_conv_backward(d_conv, inp, blk.conv_w, dilation, rows)
         dh += d_inp_res
-        grad_blocks.append(BlockWeights(dw, db, dyx.sum(axis=1), dy.sum(axis=1), dproj))
+        grad_blocks.append([dw, db, dyx.sum(axis=1), dy.sum(axis=1), *dproj])
 
-    return loss, TdcnnModel(model.arch, grad_blocks[::-1], dlogits.T @ pooled, dlogits.sum(axis=0))
+    grads = [g for blk in grad_blocks[::-1] for g in blk] + [dlogits.T @ pooled, dlogits.sum(axis=0)]
+    return loss, TdcnnModel(model.arch, np.concatenate([g.ravel() for g in grads]))
 
 
 def loss_and_grad(
@@ -416,7 +427,8 @@ def loss_and_grad(
 ) -> tuple[float, TdcnnModel]:
     """Mean cross-entropy over the batch plus gradients for every parameter.
 
-    The returned gradient container mirrors the model structure. Backprop
+    The gradients come back as a ``TdcnnModel`` whose ``params`` is the
+    gradient of the loss with respect to the model's ``params``. Backprop
     runs through the softmax head, pooling, residual adds, dropout masks,
     ReLU, normalization (including its mean/variance dependence) and the
     dilated convolutions.
@@ -438,28 +450,24 @@ def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    m: list[np.ndarray],
-    v: list[np.ndarray],
-    t: int,
-    hp: TrainParams,
+    p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, hp: TrainParams
 ) -> None:
-    for p, g, mp, vp in zip(params, grads, m, v):
-        if hp.weight_decay:
-            g = g + hp.weight_decay * p
-        mp *= hp.beta1
-        mp += (1 - hp.beta1) * g
-        vp *= hp.beta2
-        vp += (1 - hp.beta2) * g * g
-        m_hat = mp / (1 - hp.beta1**t)
-        v_hat = vp / (1 - hp.beta2**t)
-        p -= hp.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+    """Adam step ``t`` on the weight vector ``p`` and its moments ``m`` and
+    ``v``, in place, for the gradient ``g``."""
+    if hp.weight_decay:
+        g = g + hp.weight_decay * p
+    m *= hp.beta1
+    m += (1 - hp.beta1) * g
+    v *= hp.beta2
+    v += (1 - hp.beta2) * g * g
+    m_hat = m / (1 - hp.beta1**t)
+    v_hat = v / (1 - hp.beta2**t)
+    p -= hp.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
 
 def _adam_train(
     model,
-    arrays: list[np.ndarray],
+    weights: np.ndarray,
     loss_grad,
     dataset: PatternDataset,
     params: TrainParams,
@@ -468,13 +476,13 @@ def _adam_train(
 ) -> tuple[float, list[tuple[int, float, float]]]:
     """Seeded Adam on the training rows of the 80/20 split, for both classifiers.
 
-    Each epoch shuffles the rows with ``rng``, steps ``arrays`` (the weights
-    of ``model``) in place on ``loss_grad(x, y)`` (the batch loss and one
-    gradient per array), then scores ``model`` on the validation rows. A
-    snapshot is kept whenever it beats ``best_acc`` (``None``: the untrained
-    model's accuracy) and is written back into ``arrays`` at the end. Returns
-    its accuracy and the history rows (epoch, mean train loss, validation
-    accuracy).
+    Each epoch shuffles the rows with ``rng``, steps ``weights`` (the vector
+    that ``model``'s weights are views into) in place on ``loss_grad(x, y)``
+    (the batch loss and its gradient vector), then scores ``model`` on the
+    validation rows. A snapshot is kept whenever it beats ``best_acc``
+    (``None``: the untrained model's accuracy) and is written back into
+    ``weights`` at the end. Returns its accuracy and the history rows
+    (epoch, mean train loss, validation accuracy).
     """
     dataset.require_both_classes()
     # both classes present means n >= 2, which leaves at least one row on
@@ -488,9 +496,7 @@ def _adam_train(
     # scored only now: a dataset without both classes is refused before any scoring
     if best_acc is None:
         best_acc = val_accuracy()
-    m = [np.zeros_like(a) for a in arrays]
-    v = [np.zeros_like(a) for a in arrays]
-    best = [a.copy() for a in arrays]
+    m, v, best = np.zeros_like(weights), np.zeros_like(weights), weights.copy()
     history: list[tuple[int, float, float]] = []
     t_step = 0
     for epoch in range(params.epochs):
@@ -500,15 +506,14 @@ def _adam_train(
             rows = train_idx[order[start : start + params.batch_size]]
             loss, grads = loss_grad(dataset.values[rows], dataset.labels[rows])
             t_step += 1
-            _adam_step(arrays, grads, m, v, t_step, params)
+            _adam_step(weights, grads, m, v, t_step, params)
             losses.append(loss)
         val_acc = val_accuracy()
         history.append((epoch, float(np.mean(losses)), val_acc))
         if val_acc > best_acc:
             best_acc = val_acc
-            best = [a.copy() for a in arrays]
-    for a, b in zip(arrays, best):
-        a[...] = b
+            best = weights.copy()
+    weights[...] = best
     return best_acc, history
 
 
@@ -522,16 +527,16 @@ def train(
     identical copy. Fully deterministic given ``params.seed``.
     """
     rng = np.random.default_rng([params.seed, 3])
-    work = clone_model(model)
+    work = TdcnnModel(model.arch, model.params.copy())
 
-    def loss_grad(x: np.ndarray, y: np.ndarray) -> tuple[float, list[np.ndarray]]:
+    def loss_grad(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
         # drawn after the epoch's permutation, from the same generator
         dropout_seed = int(rng.integers(0, 2**62))
         loss, grads = _loss_and_grad_arrays(work, x, y, train_mode=True, seed=dropout_seed)
-        return loss, model_arrays(grads)
+        return loss, grads.params
 
     # -1 makes the first epoch's model the first snapshot
-    _, history = _adam_train(work, model_arrays(work), loss_grad, dataset, params, rng, -1.0)
+    _, history = _adam_train(work, work.params, loss_grad, dataset, params, rng, -1.0)
     return work, history
 
 
@@ -573,11 +578,13 @@ def _mlp_forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return hidden, _softmax_rows(hidden @ model.w2.T + model.b2[None, :])
 
 
-def _mlp_loss_grad(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[float, list[np.ndarray]]:
+def _mlp_loss_grad(model: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Batch loss and its gradient vector, in ``MlpModel`` field order."""
     hidden, probs = _mlp_forward(model, x)
     loss, dlogits = _cross_entropy(probs, y)
     dhidden = (dlogits @ model.w2) * (hidden > 0)
-    return loss, [dhidden.T @ x, dhidden.sum(axis=0), dlogits.T @ hidden, dlogits.sum(axis=0)]
+    grads = [dhidden.T @ x, dhidden.sum(axis=0), dlogits.T @ hidden, dlogits.sum(axis=0)]
+    return loss, np.concatenate([g.ravel() for g in grads])
 
 
 def train_baseline_mlp(dataset: PatternDataset, params: TrainParams) -> tuple[MlpModel, float]:
@@ -589,17 +596,15 @@ def train_baseline_mlp(dataset: PatternDataset, params: TrainParams) -> tuple[Ml
     in_dim = dataset.n_channels
     n_classes = len(INDEX_LABEL)
     init_rng = np.random.default_rng([params.seed, 1])
-    model = MlpModel(
-        w1=_glorot(init_rng, (_MLP_HIDDEN, in_dim), in_dim, _MLP_HIDDEN),
-        b1=np.zeros(_MLP_HIDDEN),
-        w2=_glorot(init_rng, (n_classes, _MLP_HIDDEN), _MLP_HIDDEN, n_classes),
-        b2=np.zeros(n_classes),
-    )
+    shapes = [(_MLP_HIDDEN, in_dim), (_MLP_HIDDEN,), (n_classes, _MLP_HIDDEN), (n_classes,)]
+    weights = np.zeros(sum(map(math.prod, shapes)))
+    model = MlpModel(*_views(weights, shapes))
+    model.w1[...] = _glorot(init_rng, model.w1.shape, in_dim, _MLP_HIDDEN)
+    model.w2[...] = _glorot(init_rng, model.w2.shape, _MLP_HIDDEN, n_classes)
 
-    arrays = [model.w1, model.b1, model.w2, model.b2]
     rng = np.random.default_rng([params.seed, 2])
     loss_grad = functools.partial(_mlp_loss_grad, model)
-    best_acc, _ = _adam_train(model, arrays, loss_grad, dataset, params, rng, None)
+    best_acc, _ = _adam_train(model, weights, loss_grad, dataset, params, rng, None)
     return model, best_acc
 
 

@@ -509,6 +509,22 @@ class TestCliCommands:
         }
         assert not out.exists()
 
+    def test_assess_refuses_a_signal_shorter_than_one_window(self, tmp_path, capsys):
+        save_model(tmp_path / "model.json", init_model(ArchSpec(), seed=1))
+        save_signal_csv(tmp_path / "sig.csv", generate_ppg(DROWSY_PRESET, 8.0, 100, seed=2))
+        out = tmp_path / "out"
+        assert main(["assess", "--model", str(tmp_path / "model.json"), "--signal",
+                     str(tmp_path / "sig.csv"), "--window-s", "20", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": {
+                "message": "signal of 800 samples is shorter than one 2000-sample window",
+                "type": "ValueError",
+            }
+        }
+        assert not (out / "assessment.json").exists()
+
     def test_bands_file_drives_filter_and_assess(self, tmp_path, capsys):
         bands = HyperFilterConfig(((1.0, 10.0), (2.0, 8.0)), bands_per_layer=2)
         save_hyper_config(tmp_path / "bands.json", bands)
@@ -617,6 +633,19 @@ class TestCliCommands:
         result = json.loads(capsys.readouterr().out)
         assert result["n_salient"] == 1
         assert result["boxes"][0]["h"] == 10
+
+    def test_salient_cli_derives_thresholds_from_the_frame(self, tmp_path, capsys):
+        boxes_path = tmp_path / "boxes.json"
+        # the third box only reaches the 15 x 10 thresholds, which must be exceeded
+        boxes = [BoundingBox(0, 0, 5, 20), BoundingBox(0, 0, 12, 3), BoundingBox(0, 0, 10, 15),
+                 BoundingBox(0, 0, 4, 4)]
+        save_boxes(boxes_path, boxes)
+        assert main(["salient", "--boxes", str(boxes_path), "--frame-height", "100",
+                     "--frame-width", "200"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert (result["min_height"], result["min_width"]) == (15.0, 10.0)
+        assert (result["n_input"], result["n_salient"]) == (4, 2)
+        assert result["boxes"] == [{"x": 0, "y": 0, "w": 5, "h": 20}, {"x": 0, "y": 0, "w": 12, "h": 3}]
 
     @pytest.mark.parametrize(
         "flags",

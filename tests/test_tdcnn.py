@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from drowsemon import tdcnn
 from drowsemon.filterbank import PatternDataset, PatternSignal
+from drowsemon.persist import load_model, save_model
 from drowsemon.signal_gen import LABEL_INDEX, Label
 from drowsemon.tdcnn import (
     _ADAM_EPS,
@@ -22,12 +23,10 @@ from drowsemon.tdcnn import (
     assess,
     assess_window,
     block_activations,
-    clone_model,
     forward,
     init_model,
     loss_and_grad,
     model_arrays,
-    parameter_count,
     predict_wakeful_scores,
     receptive_field,
     split_indices,
@@ -128,7 +127,7 @@ class TestInitModel:
         k, c = arch.kernel_size, arch.channels
         expected = (c * 1 * k + 3 * c + c * 1) + 11 * (c * c * k + 3 * c)
         expected += arch.n_classes * c + arch.n_classes
-        assert parameter_count(model) == expected == 9122
+        assert model.params.size == expected == 9122
 
     def test_projection_only_on_channel_change(self):
         model = init_model(ArchSpec(), seed=0)
@@ -154,14 +153,37 @@ class TestInitModel:
             ArchSpec(**kwargs)
 
 
-class TestCloneModel:
-    def test_clone_is_equal_and_shares_no_memory(self):
+class TestStorage:
+    @staticmethod
+    def model_from(source, tmp_path):
         model = init_model(TINY_ARCH, seed=1)
-        clone = clone_model(model)
-        originals, copies = model_arrays(model), model_arrays(clone)
-        assert clone.arch == model.arch and len(copies) == len(originals)
-        assert all(np.array_equal(a, c) for a, c in zip(originals, copies))
-        assert not any(np.shares_memory(c, a) for c in copies for a in originals)
+        if source == "load_model":
+            save_model(tmp_path / "model.json", model)
+            return load_model(tmp_path / "model.json")
+        if source == "train":
+            return train(model, separable_dataset(n_rows=20, length=12), TrainParams(epochs=1))[0]
+        if source == "loss_and_grad":
+            return loss_and_grad(model, tiny_batch(), train_mode=True, seed=3)[1]
+        return model
+
+    @pytest.mark.parametrize("source", ["init_model", "load_model", "train", "loss_and_grad"])
+    def test_every_weight_array_is_a_view_of_params(self, source, tmp_path):
+        model = self.model_from(source, tmp_path)
+        arrays = model_arrays(model)
+        assert model.params.shape == (sum(a.size for a in arrays),)
+        assert model.params.dtype == np.float64
+        assert all(np.shares_memory(a, model.params) for a in arrays)
+        # laid end to end in model_arrays order
+        nbytes = [a.nbytes for a in arrays]
+        starts = [a.ctypes.data - model.params.ctypes.data for a in arrays]
+        assert starts == [sum(nbytes[:i]) for i in range(len(arrays))]
+        assert all(a.flags.c_contiguous for a in arrays)
+
+    def test_train_result_shares_no_memory_with_its_input(self):
+        model = init_model(TINY_ARCH, seed=1)
+        out, _ = train(model, separable_dataset(n_rows=20, length=12), TrainParams(epochs=0))
+        assert out.arch == model.arch and np.array_equal(out.params, model.params)
+        assert not any(np.shares_memory(a, model.params) for a in [out.params, *model_arrays(out)])
 
 
 class TestForward:
@@ -396,13 +418,13 @@ class TestAdamStep:
             expected_p.append(pi - 0.1 * m_hat / (math.sqrt(v_hat) + _ADAM_EPS))
             expected_m.append(mi)
             expected_v.append(vi)
-        params, grads = [np.array(p)], [np.array(g)]
-        ms, vs = [np.array(m)], [np.array(v)]
+        params, grads = np.array(p), np.array(g)
+        ms, vs = np.array(m), np.array(v)
         _adam_step(params, grads, ms, vs, t, hp)
-        np.testing.assert_allclose(params[0], expected_p, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(ms[0], expected_m, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(vs[0], expected_v, rtol=1e-12, atol=0)
-        assert np.array_equal(grads[0], g)  # the decay term is not added in place
+        np.testing.assert_allclose(params, expected_p, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(ms, expected_m, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(vs, expected_v, rtol=1e-12, atol=0)
+        assert np.array_equal(grads, g)  # the decay term is not added in place
 
 
 class TestAssess:
