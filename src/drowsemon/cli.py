@@ -204,7 +204,6 @@ def _cmd_rcca_check(args) -> dict:
     tol = 1e-9
     delta = 1e-3
     off_cross_max = 0.0
-    single_ok = True
     double_ok = True
     for ph in range(h):
         for pw in range(w):
@@ -217,15 +216,13 @@ def _cmd_rcca_check(args) -> dict:
             cross[:, pw] = True
             off = float(d1[~cross].max()) if (~cross).any() else 0.0
             off_cross_max = max(off_cross_max, off)
-            if off > tol:
-                single_ok = False
             if not np.all(d2 > 0):
                 double_ok = False
     return {
         "height": h,
         "width": w,
         "channels": c,
-        "single_pass_cross_only": single_ok,
+        "single_pass_cross_only": off_cross_max <= tol,
         "single_pass_max_off_cross_influence": off_cross_max,
         "double_pass_full_context": double_ok,
     }

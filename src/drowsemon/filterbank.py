@@ -55,7 +55,7 @@ class SignalTooShortError(ValueError):
     """Signal shorter than the longest filter kernel it must absorb."""
 
 
-@dataclass
+@dataclass(eq=False)
 class FilterKernel:
     """Linear-phase FIR kernel: an odd number of taps centred on the middle one."""
 
@@ -99,7 +99,7 @@ class ChannelMeta:
     taps: int
 
 
-@dataclass
+@dataclass(eq=False)
 class FilteredStack:
     """All hyper-filtered channels of one signal, channel-major.
 
@@ -133,7 +133,7 @@ class FilteredStack:
         return (max(m.taps for m in self.channel_meta) - 1) // 2
 
 
-@dataclass
+@dataclass(eq=False)
 class PatternSignal:
     """Cross-channel intensity vector of one time sample."""
 
@@ -148,7 +148,7 @@ class PatternSignal:
             raise ValueError("pattern values must be finite")
 
 
-@dataclass
+@dataclass(eq=False)
 class PatternDataset:
     """Row-per-pattern matrix with integer class labels (see LABEL_INDEX)."""
 

@@ -95,6 +95,8 @@ class GenerationConfig:
     noise: NoiseSpec = NoiseSpec()
 
     def __post_init__(self) -> None:
+        if self.n_per_class < 0:
+            raise ValueError("n_per_class must be >= 0")
         for name, label in (("drowsy", Label.DROWSY), ("wakeful", Label.WAKEFUL)):
             state = getattr(self, name)
             if state.label is not label:
@@ -148,8 +150,6 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.pattern_stride < 1:
             raise ValueError(f"pattern_stride must be >= 1, got {self.pattern_stride}")
-        if self.generation.n_per_class < 0:
-            raise ValueError("n_per_class must be >= 0")
 
 
 @dataclass

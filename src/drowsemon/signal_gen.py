@@ -76,7 +76,7 @@ DROWSY_PRESET = AnsState(Label.DROWSY, mean_hr=58.0, hr_sdnn=55.0, lf_hf_ratio=0
 WAKEFUL_PRESET = AnsState(Label.WAKEFUL, mean_hr=76.0, hr_sdnn=22.0, lf_hf_ratio=2.5)
 
 
-@dataclass
+@dataclass(eq=False)
 class PpgSignal:
     """Uniformly sampled waveform with its sampling rate and optional label."""
 

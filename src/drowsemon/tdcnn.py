@@ -109,7 +109,7 @@ class ArchSpec:
             raise ValueError(f"n_classes must be {len(INDEX_LABEL)} ({names}), got {self.n_classes}")
 
 
-@dataclass
+@dataclass(eq=False)
 class BlockWeights:
     conv_w: np.ndarray  # (out_ch, in_ch, kernel)
     conv_b: np.ndarray  # (out_ch,)
@@ -136,7 +136,7 @@ def _weight_shapes(arch: ArchSpec) -> list[list[tuple[int, ...]]]:
     return blocks + [[(arch.n_classes, c), (arch.n_classes,)]]
 
 
-@dataclass
+@dataclass(eq=False)
 class TdcnnModel:
     """An architecture and its weights as one 1-D float64 vector, ``params``,
     in ``model_arrays`` order. ``blocks``, ``head_w`` (n_classes, channels)
@@ -389,7 +389,8 @@ def block_activations(model: TdcnnModel, pattern: PatternSignal) -> list[np.ndar
 
 def _loss_and_grad_arrays(
     model: TdcnnModel, x: np.ndarray, y: np.ndarray, train_mode: bool = False, seed: int = 0
-) -> tuple[float, TdcnnModel]:
+) -> tuple[float, np.ndarray]:
+    """Batch loss of (rows, time) ``x`` at classes ``y``, and its gradient vector (not a model)."""
     probs, pooled, caches, out = _forward_batch(model, x, train_mode, seed)
     loss, dlogits = _cross_entropy(probs, y)
     dpooled = dlogits @ model.head_w
@@ -416,7 +417,7 @@ def _loss_and_grad_arrays(
         grad_blocks.append([dw, db, dyx.sum(axis=1), dy.sum(axis=1), *dproj])
 
     grads = [g for blk in grad_blocks[::-1] for g in blk] + [dlogits.T @ pooled, dlogits.sum(axis=0)]
-    return loss, TdcnnModel(model.arch, np.concatenate([g.ravel() for g in grads]))
+    return loss, np.concatenate([g.ravel() for g in grads])
 
 
 def loss_and_grad(
@@ -427,11 +428,11 @@ def loss_and_grad(
 ) -> tuple[float, TdcnnModel]:
     """Mean cross-entropy over the batch plus gradients for every parameter.
 
-    The gradients come back as a ``TdcnnModel`` whose ``params`` is the
-    gradient of the loss with respect to the model's ``params``. Backprop
-    runs through the softmax head, pooling, residual adds, dropout masks,
-    ReLU, normalization (including its mean/variance dependence) and the
-    dilated convolutions.
+    The gradients come back as a ``TdcnnModel`` around the vector that
+    ``_loss_and_grad_arrays`` returns, the gradient of the loss in ``params``
+    order. Backprop runs through the softmax head, pooling, residual adds,
+    dropout masks, ReLU, normalization (including its mean/variance
+    dependence) and the dilated convolutions.
     """
     if not batch:
         raise ValueError("batch must not be empty")
@@ -439,7 +440,8 @@ def loss_and_grad(
         y = np.array([LABEL_INDEX[label] for _, label in batch], dtype=np.int64)
     except KeyError as exc:
         raise ValueError(f"unknown class label: {exc.args[0]!r}") from exc
-    return _loss_and_grad_arrays(model, _pattern_rows([p for p, _ in batch]), y, train_mode, seed)
+    loss, grad = _loss_and_grad_arrays(model, _pattern_rows([p for p, _ in batch]), y, train_mode, seed)
+    return loss, TdcnnModel(model.arch, grad)
 
 
 def split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -481,8 +483,8 @@ def _adam_train(
     (the batch loss and its gradient vector), then scores ``model`` on the
     validation rows. A snapshot is kept whenever it beats ``best_acc``
     (``None``: the untrained model's accuracy) and is written back into
-    ``weights`` at the end. Returns its accuracy and the history rows
-    (epoch, mean train loss, validation accuracy).
+    ``weights`` at the end. Returns no model: only its accuracy and the
+    history rows (epoch, mean train loss, validation accuracy).
     """
     dataset.require_both_classes()
     # both classes present means n >= 2, which leaves at least one row on
@@ -522,18 +524,17 @@ def train(
 ) -> tuple[TdcnnModel, list[tuple[int, float, float]]]:
     """Adam-train on an 80/20 seeded split; return the best-validation snapshot.
 
-    History rows are (epoch, mean train loss, validation accuracy). The
-    input model is never mutated; with ``epochs=0`` the returned model is an
-    identical copy. Fully deterministic given ``params.seed``.
+    History rows are (epoch, mean train loss, validation accuracy). Each step
+    takes the gradient vector of ``_loss_and_grad_arrays``; the returned model
+    is the one model built, and the input model is never mutated. With
+    ``epochs=0`` it is an identical copy. Fully deterministic given ``params.seed``.
     """
     rng = np.random.default_rng([params.seed, 3])
     work = TdcnnModel(model.arch, model.params.copy())
 
     def loss_grad(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
         # drawn after the epoch's permutation, from the same generator
-        dropout_seed = int(rng.integers(0, 2**62))
-        loss, grads = _loss_and_grad_arrays(work, x, y, train_mode=True, seed=dropout_seed)
-        return loss, grads.params
+        return _loss_and_grad_arrays(work, x, y, train_mode=True, seed=int(rng.integers(0, 2**62)))
 
     # -1 makes the first epoch's model the first snapshot
     _, history = _adam_train(work, work.params, loss_grad, dataset, params, rng, -1.0)
@@ -564,7 +565,7 @@ def assess_window(model: TdcnnModel, patterns) -> Assessment:
 _MLP_HIDDEN = 32
 
 
-@dataclass
+@dataclass(eq=False)
 class MlpModel:
     w1: np.ndarray  # (hidden, in_dim)
     b1: np.ndarray  # (hidden,)

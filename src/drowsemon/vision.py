@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class RccaWeights:
     """Bias-free projections shared across recurrence steps.
 

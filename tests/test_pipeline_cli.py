@@ -54,7 +54,7 @@ from drowsemon.tdcnn import (
     init_model,
     predict_wakeful_scores,
 )
-from drowsemon.vision import BoundingBox
+from drowsemon.vision import BoundingBox, cc_attention
 
 
 def tiny_config(out_dir, seed=3) -> PipelineConfig:
@@ -250,6 +250,10 @@ class TestConfig:
         assert config == replace(default_config(), train=replace(default_config().train, epochs=3))
         with pytest.raises(FormatError, match="config: arch: missing field 'kernel_size'"):
             config_from_dict({"schema_version": 1, "arch": {"n_blocks": 12}})
+
+    def test_negative_signal_count_refused_by_the_generation_config(self):
+        with pytest.raises(ValueError, match=r"^n_per_class must be >= 0$"):
+            GenerationConfig(n_per_class=-1)
 
     def test_derive_seed_stable_and_distinct(self):
         assert derive_seed("synth", 7, 0, 1) == derive_seed("synth", 7, 0, 1)
@@ -614,6 +618,46 @@ class TestCliCommands:
                 ("FormatError",
                  "{}: search: grid_hz=5e-324 is too fine: the 1.0-10.0 Hz band has more steps than a float can hold"),
             ),
+            (
+                "synth",
+                {"generation": {"n_per_class": 0}},
+                ("ValueError", "config generates zero signals (n_per_class=0)"),
+            ),
+            (
+                "search-bands",
+                {"generation": {"n_per_class": 0}},
+                ("ValueError", "config generates zero signals (n_per_class=0)"),
+            ),
+            (
+                "run",
+                {"generation": {"n_per_class": -1}},
+                ("FormatError", "{}: generation: n_per_class must be >= 0"),
+            ),
+            ("run", {"pattern_stride": 0}, ("FormatError", "{}: pattern_stride must be >= 1, got 0")),
+            ("run", {"train": {"lr": 0}}, ("FormatError", "{}: train: lr must be > 0, got 0.0")),
+            ("run", {"train": {"beta2": 1.0}}, ("FormatError", "{}: train: betas must be in [0, 1)")),
+            (
+                "run",
+                {"train": {"batch_size": 0}},
+                ("FormatError", "{}: train: batch_size must be >= 1 and epochs >= 0"),
+            ),
+            (
+                "run",
+                {"train": {"weight_decay": -0.5}},
+                ("FormatError", "{}: train: weight_decay must be >= 0"),
+            ),
+            (
+                "run",
+                {"generation": {"noise": {"baseline_wander_freq": -1.0}}},
+                ("FormatError",
+                 "{}: generation: noise: NoiseSpec.baseline_wander_freq must be finite and >= 0"),
+            ),
+            ("run", {"bands": {"layers": 3}}, ("FormatError", "{}: bands: layers: expected a list, got int")),
+            (
+                "run",
+                {"generation": {"drowsy": {"label": "Sleepy"}}},
+                ("FormatError", "{}: generation: drowsy: label: 'Sleepy' is not a valid Label"),
+            ),
         ],
     )
     def test_unusable_config_values_give_json_error(self, tmp_path, capsys, command, doc, error):
@@ -621,9 +665,89 @@ class TestCliCommands:
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({"schema_version": 1, **doc}))
         assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err == {"error": {"message": error[1].format(cfg_path), "type": error[0]}}
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": {"message": error[1].format(cfg_path), "type": error[0]}}
         assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def input_files(tmp_path) -> dict[str, str]:
+        """One file of each kind the file-reading commands take, good or bad."""
+        files = {name: tmp_path / name for name in
+                 ["model.json", "sig.csv", "empty.csv", "x_header.csv", "boxes.json", "mask.pgm",
+                  "empty.pgm", "short.pgm", "x.pgm"]}
+        save_model(files["model.json"], init_model(tiny_config(tmp_path).arch, seed=1))
+        save_signal_csv(files["sig.csv"], generate_ppg(DROWSY_PRESET, 8.0, 100, seed=2))
+        files["empty.csv"].write_text("")
+        files["x_header.csv"].write_text("x,c0\nDrowsy,1.0\n")
+        save_boxes(files["boxes.json"], [BoundingBox(0, 0, 5, 10)])
+        save_mask_pgm(files["mask.pgm"], np.eye(3, dtype=int))
+        save_mask_pgm(files["empty.pgm"], np.zeros((0, 0), dtype=int))
+        files["short.pgm"].write_text("P2\n4")
+        files["x.pgm"].write_text("P2\n2 2\n1\n0 x\n1 0\n")
+        return {name.replace(".", "_"): str(path) for name, path in files.items()}
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (
+                ["assess", "--model", "{model_json}", "--signal", "{sig_csv}", "--window-s", "0.001"],
+                ("ValueError", "window of 0.001s holds no samples at fs=100.0"),
+            ),
+            (
+                ["assess", "--model", "{model_json}", "--signal", "{empty_csv}"],
+                ("FormatError", "{empty_csv}:1: empty signal file"),
+            ),
+            (
+                ["eval", "--model", "{model_json}", "--dataset", "{empty_csv}"],
+                ("FormatError", "{empty_csv}:1: empty dataset file"),
+            ),
+            (
+                ["eval", "--model", "{model_json}", "--dataset", "{x_header_csv}"],
+                ("FormatError", "{x_header_csv}:1: header must start with 'label'"),
+            ),
+            (
+                ["salient", "--boxes", "{boxes_json}", "--min-height", "-1", "--min-width", "1"],
+                ("ValueError", "thresholds must be >= 0"),
+            ),
+            (
+                ["salient", "--boxes", "{boxes_json}", "--frame-height", "0", "--frame-width", "10"],
+                ("ValueError", "frame dimensions must be >= 1"),
+            ),
+            (
+                ["miou", "--pred", "{mask_pgm}", "--gt", "{mask_pgm}", "--classes", "0"],
+                ("ValueError", "n_classes must be >= 1, got 0"),
+            ),
+            (
+                ["miou", "--pred", "{empty_pgm}", "--gt", "{empty_pgm}", "--classes", "2"],
+                ("ValueError", "masks contain no class to score"),
+            ),
+            (
+                ["miou", "--pred", "{short_pgm}", "--gt", "{mask_pgm}", "--classes", "2"],
+                ("FormatError", "{short_pgm}: truncated PGM header"),
+            ),
+            (
+                ["miou", "--pred", "{x_pgm}", "--gt", "{mask_pgm}", "--classes", "2"],
+                ("FormatError",
+                 "{x_pgm}: non-integer PGM token (invalid literal for int() with base 10: 'x')"),
+            ),
+            (["rcca-check", "--channels", "0"], ("ValueError", "channels must be >= 1, got 0")),
+            (
+                ["rcca-check", "--height", "0"],
+                ("ValueError", "feature map must be (H, W, C) with all dims >= 1, got (0, 5, 4)"),
+            ),
+        ],
+    )
+    def test_refused_inputs_give_one_line_json_error(self, tmp_path, capsys, argv, error):
+        files = self.input_files(tmp_path)
+        out = tmp_path / "out"
+        assert main([arg.format(**files) for arg in argv] + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert json.loads(captured.err) == {
+            "error": {"message": error[1].format(**files), "type": error[0]}
+        }
+        assert not out.exists()
 
     def test_salient_cli(self, tmp_path, capsys):
         boxes_path = tmp_path / "boxes.json"
@@ -686,6 +810,24 @@ class TestCliCommands:
         result = json.loads(capsys.readouterr().out)
         assert result["single_pass_cross_only"] is True
         assert result["double_pass_full_context"] is True
+
+    def test_rcca_check_reports_a_failing_pass(self, capsys, monkeypatch):
+        argv = ["rcca-check", "--height", "3", "--width", "4", "--channels", "4"]
+        # a pass that adds the map's global mean lets every position reach every other
+        leaky = lambda x, weights: cc_attention(x, weights) + x.mean()  # noqa: E731
+        monkeypatch.setattr("drowsemon.cli.cc_attention", leaky)
+        assert main(argv) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["single_pass_cross_only"] is False
+        assert result["single_pass_max_off_cross_influence"] > 0
+        assert result["double_pass_full_context"] is True
+        monkeypatch.undo()
+        # two passes that change nothing leave a bump at its own position only
+        monkeypatch.setattr("drowsemon.cli.rcca", lambda x, weights, steps: x)
+        assert main(argv) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["single_pass_cross_only"] is True
+        assert result["double_pass_full_context"] is False
 
     def test_result_commands_print_the_document_they_save(self, tmp_path, capsys):
         cfg_path, config = self.write_config(tmp_path)

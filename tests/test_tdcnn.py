@@ -268,6 +268,19 @@ class TestLossAndGrad:
         originals = model_arrays(model)
         assert not any(np.shares_memory(g, a) for g in model_arrays(grads) for a in originals)
 
+    @pytest.mark.parametrize("train_mode", [False, True], ids=["eval", "train"])
+    def test_public_gradients_wrap_the_gradient_vector_bitwise(self, train_mode):
+        model = init_model(TINY_ARCH, seed=4)
+        batch = tiny_batch(seed=1)
+        x = np.stack([p.values for p, _ in batch])
+        y = np.array([LABEL_INDEX[label] for _, label in batch])
+        loss, grad = tdcnn._loss_and_grad_arrays(model, x, y, train_mode=train_mode, seed=3)
+        assert type(loss) is float and type(grad) is np.ndarray
+        assert grad.shape == (model.params.size,) and grad.dtype == np.float64
+        public_loss, grads = loss_and_grad(model, batch, train_mode=train_mode, seed=3)
+        assert public_loss == loss
+        assert grads.arch == model.arch and grads.params.tobytes() == grad.tobytes()
+
     def test_empty_batch_rejected(self):
         model = init_model(TINY_ARCH, seed=4)
         with pytest.raises(ValueError, match="empty"):
@@ -372,6 +385,22 @@ class TestTrain:
         train(model, dataset, TrainParams(epochs=2, seed=4))
         for a, b in zip(model_arrays(model), before):
             assert np.array_equal(a, b)
+
+    def test_builds_one_model_however_many_batches(self, monkeypatch):
+        built = []
+
+        class CountedModel(tdcnn.TdcnnModel):
+            def __post_init__(self) -> None:
+                built.append(self)
+                super().__post_init__()
+
+        model = init_model(TINY_ARCH, seed=2)
+        monkeypatch.setattr(tdcnn, "TdcnnModel", CountedModel)
+        # 60 rows leave 48 training rows: three batches of 16 in each epoch
+        out, history = train(model, separable_dataset(n_rows=60, length=12),
+                             TrainParams(epochs=2, batch_size=16, seed=4))
+        assert len(history) == 2
+        assert len(built) == 1 and built[0] is out
 
     def test_single_class_rejected(self):
         values = np.random.default_rng(0).normal(size=(20, 8))
