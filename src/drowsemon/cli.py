@@ -63,14 +63,8 @@ def _cmd_run(args) -> dict:
     return {"status": run_pipeline(config).status, "out_dir": config.out_dir}
 
 
-def _require_signals(config: PipelineConfig) -> None:
-    if config.generation.n_per_class == 0:
-        raise ValueError("config generates zero signals (n_per_class=0)")
-
-
 def _cmd_synth(args) -> dict:
     config = _load_config(args)
-    _require_signals(config)
     emit = ArtifactWriter(config.out_dir)
     return {"n_signals": len(synth_stage(config, emit)), "out_dir": str(emit.out)}
 
@@ -93,7 +87,6 @@ def _cmd_filter(args) -> dict:
 
 def _cmd_search_bands(args) -> dict:
     config = _load_config(args)
-    _require_signals(config)
     emit = ArtifactWriter(config.out_dir)
     _, best_reward = search_stage(config, generate_signals(config), emit)
     return {"best_reward": best_reward, "out_dir": str(emit.out)}

@@ -11,12 +11,24 @@ rows of one signal as ``PatternSignal`` objects carrying its label.
 ``_kernel_bank`` designs the latest (layout, fs) pair's kernels once, with
 read-only taps shared by every signal; ``apply_filter`` computes only the
 input-length part of each convolution, bitwise equal to the full one sliced.
+
+``hyper_filter`` spreads a signal's channels over helper threads, one fewer
+than the CPUs the process may run on and never more than the channels less
+one; the calling thread convolves its own share. The shares are balanced
+by multiply-adds, since the kernels' lengths differ. ``np.convolve``
+releases the interpreter lock, so the helpers run in parallel. Each channel
+is still one ``np.convolve`` of the same operands, stacked in channel order,
+so the stack is bitwise the same on any CPU count; on one CPU no helper
+exists. The helpers are started on first use, and a forked child drops its
+parent's (their threads do not survive a fork) and starts its own.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -226,19 +238,22 @@ def design_bandpass(
     return FilterKernel(taps)
 
 
+def _convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """The input-length, group-delay-compensated convolution of ``x``."""
+    mid = (taps.size - 1) // 2
+    # "same" starts at full index (min(taps, n) - 1) // 2: shift it to ``mid``
+    return np.convolve(x, taps, "same")[max(0, mid - (x.size - 1) // 2) :][: x.size]
+
+
 def apply_filter(kernel: FilterKernel, signal: PpgSignal) -> PpgSignal:
     """Convolve and compensate the group delay (zero-phase, zero-padded edges).
 
     Output length equals input length; the first and last (taps-1)/2 samples
     are edge-transient territory.
     """
-    x = signal.samples
-    if x.size < 1:
+    if signal.samples.size < 1:
         raise ValueError("signal must contain at least one sample")
-    mid = (kernel.taps.size - 1) // 2
-    # "same" starts at full index (min(taps, n) - 1) // 2: shift it to ``mid``
-    y = np.convolve(x, kernel.taps, "same")[max(0, mid - (x.size - 1) // 2) :][: x.size]
-    return PpgSignal(y, fs=signal.fs, label=signal.label)
+    return PpgSignal(_convolve(signal.samples, kernel.taps), fs=signal.fs, label=signal.label)
 
 
 def subband_edges(layer: tuple[float, float], n_bands: int) -> list[tuple[float, float]]:
@@ -282,6 +297,63 @@ def _kernel_bank(config: HyperFilterConfig, fs: float) -> tuple[tuple[ChannelMet
     return tuple(bank)
 
 
+_pool = None  # (executor or None, helper count), made by the first ``_helper_pool`` call
+_pool_lock = threading.Lock()
+
+
+def _helper_pool():
+    """The convolution helpers as ``(executor, count)``: one thread fewer
+    than the CPUs this process may run on, or ``(None, 0)`` on one CPU.
+    Made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+            n = (cpus or 1) - 1
+            if n < 1:
+                _pool = (None, 0)
+            else:
+                from concurrent.futures import ThreadPoolExecutor
+
+                _pool = (ThreadPoolExecutor(n, thread_name_prefix="drowsemon-convolve"), n)
+        return _pool
+
+
+def _forget_pool() -> None:
+    """Drop the parent's helpers in a forked child, whose copy has no threads."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _macs(n: int, taps: int) -> int:
+    """Multiply-adds of an n-sample "same" convolution with a ``taps``-tap
+    kernel (odd, at most n): the outputs within (taps - 1) / 2 of an edge
+    overlap the input less."""
+    mid = (taps - 1) // 2
+    return n * taps - mid * (mid + 1)
+
+
+def _shares(macs: list[int], n_shares: int) -> list[list[int]]:
+    """Channel indices split into ``n_shares`` lists of near-equal multiply-add
+    totals: each channel, costliest first, joins the lightest list so far."""
+    shares = [[] for _ in range(n_shares)]
+    loads = [0] * n_shares
+    for c in sorted(range(len(macs)), key=lambda c: -macs[c]):
+        i = loads.index(min(loads))
+        shares[i].append(c)
+        loads[i] += macs[c]
+    return shares
+
+
+def _convolve_share(out: np.ndarray, x: np.ndarray, bank, share: list[int]) -> None:
+    for c in share:
+        out[c] = _convolve(x, bank[c][1].taps)
+
+
 def hyper_filter(signal: PpgSignal, config: HyperFilterConfig) -> FilteredStack:
     """Filter one signal through every (layer, sub-band) kernel.
 
@@ -289,14 +361,22 @@ def hyper_filter(signal: PpgSignal, config: HyperFilterConfig) -> FilteredStack:
     label is propagated. Raises SignalTooShortError when the signal cannot
     absorb the longest kernel.
     """
+    x = signal.samples
     max_taps = _max_taps(config, signal.fs)
-    if signal.samples.size < max_taps:
+    if x.size < max_taps:
         raise SignalTooShortError(
             f"hyper-filtering this band layout needs at least {max_taps} samples, "
-            f"got {signal.samples.size}"
+            f"got {x.size}"
         )
     bank = _kernel_bank(config, signal.fs)
-    channels = np.stack([apply_filter(k, signal).samples for _, k in bank])
+    pool, n_helpers = _helper_pool()
+    macs = [_macs(x.size, k.taps.size) for _, k in bank]
+    mine, *theirs = _shares(macs, 1 + min(n_helpers, len(bank) - 1))
+    channels = np.empty((len(bank), x.size))
+    futures = [pool.submit(_convolve_share, channels, x, bank, share) for share in theirs]
+    _convolve_share(channels, x, bank, mine)
+    for f in futures:
+        f.result()
     return FilteredStack(channels, [m for m, _ in bank], fs=signal.fs, label=signal.label)
 
 
@@ -332,7 +412,8 @@ def build_dataset(
     for i, sig in enumerate(signals):
         if sig.label is None:
             raise ValueError(f"signal {i} is unlabeled: every signal needs a class label")
-        rows = pattern_rows(hyper_filter(sig, bands))[::stride]
+        # a copy, so each signal's whole pattern matrix is freed before the next
+        rows = np.ascontiguousarray(pattern_rows(hyper_filter(sig, bands))[::stride])
         values.append(rows)
         labels.append(np.full(rows.shape[0], LABEL_INDEX[sig.label]))
     return PatternDataset(np.concatenate(values), np.concatenate(labels))

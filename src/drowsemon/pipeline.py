@@ -222,6 +222,8 @@ def eval_report(model, dataset: PatternDataset) -> dict:
 def generate_signals(config: PipelineConfig) -> list[PpgSignal]:
     """Seeded noisy signals for both presets, drowsy first then wakeful."""
     gen = config.generation
+    if gen.n_per_class == 0:
+        raise ValueError("config generates zero signals (n_per_class=0)")
     signals = []
     for class_idx, state in enumerate((gen.drowsy, gen.wakeful)):
         for i in range(gen.n_per_class):
@@ -373,14 +375,13 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
 
     with stage("synth"):
         signals = synth_stage(config, emit)
-        if signals:
-            first = signals[0]
-            _emit_series(
-                emit, "signal_trace.csv", "signal_trace.svg", ["t_s", "value"],
-                [i / first.fs for i in range(first.samples.size)],
-                {first.label.value: list(first.samples)},
-                "Generated PPG trace", "time [s]", "amplitude",
-            )
+        first = signals[0]
+        _emit_series(
+            emit, "signal_trace.csv", "signal_trace.svg", ["t_s", "value"],
+            [i / first.fs for i in range(first.samples.size)],
+            {first.label.value: list(first.samples)},
+            "Generated PPG trace", "time [s]", "amplitude",
+        )
 
     with stage("bands"):
         bands = config.bands

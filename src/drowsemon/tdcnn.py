@@ -12,10 +12,11 @@ function of inputs at times <= t, so the stack stays causal end to end.
 
 Each block holds its activations as one (channels, time·rows) matrix whose
 column ``t·rows + b`` is row b at time t. A causal tap that looks back l
-steps is then one BLAS product whose result lands l·rows columns to the
-right; its weight gradient is one product of contiguous column slices; and
-the normalization reduces over the contiguous channel axis. Training,
-``forward`` and inference (``predict_wakeful_scores``, ``assess``,
+steps is then one BLAS product over the input shifted l·rows columns to
+the right (a broadcast multiply on block 0's single input channel), added
+contiguously; its weight gradient is one product of contiguous column
+slices; and the normalization reduces over the contiguous channel axis.
+Training, ``forward`` and inference (``predict_wakeful_scores``, ``assess``,
 ``assess_window``) share that one forward pass. Inference runs it over
 blocks of rows (``_INFER_ROWS``, ``_INFER_COLUMNS``), which bounds the
 activations held at once whatever the number of rows scored, and a row's
@@ -245,40 +246,62 @@ def _tap_lags(kernel_size: int, dilation: int, t: int) -> list[tuple[int, int]]:
     return [(j, lag) for j, lag in lags if lag < t]
 
 
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b``. With one inner dimension (block 0's single input channel)
+    each element is one product, so a broadcast multiply gives the same bits
+    without BLAS's per-call cost."""
+    if a.shape[1] == 1:
+        return np.multiply(a, b, out=out)
+    return np.matmul(a, b, out=out)
+
+
 def _causal_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray, dilation: int, rows: int) -> np.ndarray:
     """Causal dilated convolution of (in, time·rows) input.
 
     Output column ``t·rows + r`` is ``b + sum_j w[:, :, j] @ x[:, (t - lag_j)·rows
     + r]`` with ``lag_j = (k - 1 - j) * dilation`` and x read as zero before
-    time 0 (the left zero padding of a causal convolution). Each tap is one
-    product over every column, added into the output ``lag_j·rows`` columns to
-    the right; no padded or shifted copy of the input is built.
+    time 0 (the left zero padding of a causal convolution). Each lagged tap
+    copies ``x`` ``lag_j·rows`` columns to the right into one reused buffer
+    whose leading columns are zero, and adds its product over every column
+    contiguously. (A product on the column slice of ``x`` alone is one
+    column wide for a tap that reaches only time 0, and a one-column product
+    takes BLAS's matrix-vector kernel, which rounds differently.)
     """
     n = x.shape[1]
     (j0, _), *taps = _tap_lags(w.shape[2], dilation, n // rows)
     # (k, in, out): each ``wt[j].T`` is a Fortran-ordered (out, in) operand
     wt = w.transpose(2, 1, 0).copy()
-    y = wt[j0].T @ x
+    y = _matmul(wt[j0].T, x)
     y += b[:, None]
-    tap = np.empty_like(y)
+    shifted, tap = np.zeros_like(x), np.empty_like(y)
     for j, lag in taps:
-        y[:, lag * rows :] += np.matmul(wt[j].T, x, out=tap)[:, : n - lag * rows]
+        shifted[:, : lag * rows] = 0.0
+        shifted[:, lag * rows :] = x[:, : n - lag * rows]
+        y += _matmul(wt[j].T, shifted, out=tap)
     return y
 
 
 def _causal_conv_backward(
     dy: np.ndarray, x: np.ndarray, w: np.ndarray, dilation: int, rows: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (dx, dw, db) of the causal dilated convolution: one product
-    for each tap's ``dx`` and one for its ``dw``, on column slices."""
+    """Gradients (dx, dw, db) of the causal dilated convolution. Each lagged
+    tap's ``dx`` is one product on the column slice of ``dy`` it reads,
+    written into a reused buffer whose ``lag·rows`` trailing columns are
+    zero and added contiguously; its ``dw`` is one product of column slices.
+    (A full-width product over a shifted ``dy`` rounds some columns
+    differently: with this operand a column's bits depend on the product's
+    width.)"""
     n = dy.shape[1]
     (j0, _), *taps = _tap_lags(w.shape[2], dilation, n // rows)
     dw = np.zeros_like(w)
     dx = w[:, :, j0].T @ dy
     dw[:, :, j0] = dy @ x.T
+    tap = np.empty_like(dx)
     for j, lag in taps:
         shift = lag * rows
-        dx[:, : n - shift] += w[:, :, j].T @ dy[:, shift:]
+        np.matmul(w[:, :, j].T, dy[:, shift:], out=tap[:, : n - shift])
+        tap[:, n - shift :] = 0.0
+        dx += tap
         dw[:, :, j] = dy[:, shift:] @ x[:, : n - shift].T
     return dx, dw, dy.sum(axis=1)
 
@@ -340,11 +363,12 @@ def _forward_batch(model: TdcnnModel, x: np.ndarray, train_mode: bool = False, s
         gate = h > 0
         np.maximum(h, 0.0, out=h)
         if train_mode and p > 0.0:
-            # one draw per (row, channel), repeated over the row's time steps
-            mask = np.tile(((rng.random((rows, arch.channels)) >= p) / (1.0 - p)).T, t)
-            h *= mask
-            gate = np.multiply(mask, gate, out=mask)
-        h += inp if blk.proj_w is None else blk.proj_w @ inp
+            # one draw per (row, channel), broadcast over the row's time steps
+            mask = ((rng.random((rows, arch.channels)) >= p) / (1.0 - p)).T[:, None, :]
+            h_rows = h.reshape(-1, t, rows)
+            h_rows *= mask
+            gate = (gate.reshape(-1, t, rows) * mask).reshape(h.shape)
+        h += inp if blk.proj_w is None else _matmul(blk.proj_w, inp)
         caches.append((inp, gate, xhat, s))
     out = h.reshape(-1, t, rows).transpose(2, 0, 1).copy()
     pooled = out.mean(axis=2)

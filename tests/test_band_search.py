@@ -1,5 +1,7 @@
 import math
 import time
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,14 +11,15 @@ from drowsemon.band_search import (
     SearchSpace,
     SpaceTooLargeError,
     _fitted,
+    dataset_reward,
     enumerate_best,
     fisher_score,
     q_learn,
     reward,
 )
-from drowsemon.filterbank import HyperFilterConfig, hyper_filter, pattern_signals
+from drowsemon.filterbank import HyperFilterConfig, build_dataset, hyper_filter, pattern_signals
 from drowsemon.persist import FormatError
-from drowsemon.pipeline import config_from_dict
+from drowsemon.pipeline import config_from_dict, default_config, generate_signals
 from drowsemon.signal_gen import Label, PpgSignal
 
 
@@ -102,6 +105,25 @@ class TestReward:
         unlabeled = [PpgSignal(tones[0].samples, 100.0, None), tones[1]]
         with pytest.raises(ValueError, match="labeled"):
             reward(config, unlabeled)
+
+    def test_is_the_dataset_reward_of_every_row(self, tones):
+        # the tones alternate classes, so each class's rows are spread over the dataset
+        config = HyperFilterConfig(((1.0, 10.0), (2.0, 8.0)), bands_per_layer=3)
+        assert reward(config, tones) == dataset_reward(build_dataset(tones, config, 1))
+
+    def test_never_holds_the_whole_dataset_beside_its_class_rows(self):
+        # 8 default signals keep 786 rows of 33 channels each: building every
+        # row and then copying out each class's rows would hold twice that
+        config = default_config()
+        signals = generate_signals(replace(config, generation=replace(config.generation, n_per_class=4)))
+        reward(config.bands, [signals[0], signals[-1]])  # designs and caches the kernels
+        tracemalloc.start()
+        try:
+            reward(config.bands, signals)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * 786 * 33 * 8
 
 
 class TestNeighbors:

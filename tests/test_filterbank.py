@@ -1,4 +1,12 @@
+import hashlib
 import math
+import os
+import sys
+import threading
+import time
+import tracemalloc
+import warnings
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -246,6 +254,154 @@ class TestKernelBank:
                 assert channel.tobytes() == apply_filter(kernel, signal).samples.tobytes()
 
 
+# the default layout (807- and 1,615-tap kernels) and one with a 3.5 Hz-wide
+# layer, the narrowest a 24 s signal fits (up to 2,075 taps)
+HELPER_LAYOUTS = [
+    default_config().bands,
+    HyperFilterConfig(((1.0, 4.5), (1.0, 10.0), (5.5, 10.0))),
+]
+
+
+def default_signals(n_per_class):
+    config = default_config()
+    return generate_signals(replace(config, generation=replace(config.generation, n_per_class=n_per_class)))
+
+
+def serial_stack(monkeypatch, signal, layout) -> bytes:
+    with monkeypatch.context() as m:
+        m.setattr(filterbank, "_helper_pool", lambda: (None, 0))
+        return hyper_filter(signal, layout).channels.tobytes()
+
+
+class InlineExecutor:
+    """Runs each submitted call at once on the caller's thread, and counts them."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def submit(self, fn, *args):
+        self.calls += 1
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestHelperThreads:
+    @pytest.mark.parametrize("layout", HELPER_LAYOUTS)
+    def test_stack_bytes_equal_with_and_without_helpers(self, monkeypatch, layout):
+        signals = default_signals(1)
+        serial = [serial_stack(monkeypatch, s, layout) for s in signals]
+        assert [hyper_filter(s, layout).channels.tobytes() for s in signals] == serial
+        # three helpers, whatever this machine's CPU count
+        with ThreadPoolExecutor(3) as pool:
+            monkeypatch.setattr(filterbank, "_helper_pool", lambda: (pool, 3))
+            assert [hyper_filter(s, layout).channels.tobytes() for s in signals] == serial
+
+    def test_helpers_are_one_fewer_than_the_usable_cpus(self, monkeypatch):
+        for cpus, helpers in [(8, 7), (2, 1), (1, 0)]:
+            monkeypatch.setattr(filterbank, "_pool", None)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            pool, n = filterbank._helper_pool()
+            assert n == helpers and (pool is None) == (helpers == 0)
+            if pool is not None:
+                pool.shutdown()
+
+    @pytest.mark.parametrize("bands_per_layer, submitted", [(3, 2), (11, 7)])
+    def test_at_most_one_helper_fewer_than_the_channels(self, monkeypatch, bands_per_layer, submitted):
+        layout = HyperFilterConfig(((1.0, 10.0),), bands_per_layer=bands_per_layer)
+        signal = default_signals(1)[0]
+        serial = serial_stack(monkeypatch, signal, layout)
+        pool = InlineExecutor()
+        monkeypatch.setattr(filterbank, "_helper_pool", lambda: (pool, 7))
+        assert hyper_filter(signal, layout).channels.tobytes() == serial
+        assert pool.calls == submitted
+
+    @pytest.mark.parametrize("layout", HELPER_LAYOUTS)
+    @pytest.mark.parametrize("n_shares", [2, 3, 4])
+    def test_shares_are_balanced_by_multiply_adds(self, layout, n_shares):
+        # greedy costliest-first assignment: no share exceeds another by more
+        # than one channel's cost, whereas splitting the channel list in halves
+        # would give one share the cheap 807-tap layer
+        macs = [filterbank._macs(2400, k.taps.size) for _, k in filterbank._kernel_bank(layout, 100.0)]
+        shares = filterbank._shares(macs, n_shares)
+        assert sorted(c for share in shares for c in share) == list(range(len(macs)))
+        loads = [sum(macs[c] for c in share) for share in shares]
+        assert max(loads) - min(loads) <= max(macs)
+
+    @pytest.mark.parametrize("n, taps", [(1, 1), (9, 5), (9, 9), (2400, 807), (2400, 2075)])
+    def test_macs_count_each_output_samples_overlap(self, n, taps):
+        # "same" output k overlaps the input on min(k + 1, taps, n + taps - 1 - k) taps
+        mid = (taps - 1) // 2
+        overlaps = [min(k + 1, taps, n + taps - 1 - k) for k in range(mid, mid + n)]
+        assert filterbank._macs(n, taps) == sum(overlaps)
+
+    def test_concurrent_callers_get_the_serial_bytes(self, monkeypatch):
+        signal = default_signals(1)[0]
+        serial = [serial_stack(monkeypatch, signal, layout) for layout in HELPER_LAYOUTS]
+        results, errors = [], []
+
+        def call(k):
+            try:
+                for i in range(3):
+                    layout = (k + i) % 2
+                    results.append((layout, hyper_filter(signal, HELPER_LAYOUTS[layout]).channels.tobytes()))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            # more calling threads than CPUs, each switching layouts, so the
+            # one-entry kernel bank changes under the others' feet
+            threads = [threading.Thread(target=call, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and len(results) == 12
+        assert all(stack == serial[layout] for layout, stack in results)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs POSIX fork")
+    def test_forked_child_filters_with_its_own_helpers(self, monkeypatch):
+        from signal import SIGKILL  # POSIX only, like fork
+
+        sig = default_signals(1)[0]
+        layout = HELPER_LAYOUTS[0]
+        expected = hashlib.sha256(serial_stack(monkeypatch, sig, layout)).hexdigest()
+        # once the parent's helpers have run, a child that used them would wait forever
+        pool = ThreadPoolExecutor(2)
+        monkeypatch.setattr(filterbank, "_pool", (pool, 2))
+        try:
+            hyper_filter(sig, layout)
+            read_end, write_end = os.pipe()
+            with warnings.catch_warnings():
+                # forking a process that runs threads is what this test checks
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:  # the child: report the digest, never return into pytest
+                try:
+                    os.close(read_end)
+                    digest = hashlib.sha256(hyper_filter(sig, layout).channels.tobytes()).hexdigest()
+                    os.write(write_end, digest.encode())
+                finally:
+                    os._exit(0)
+            os.close(write_end)
+            deadline = time.monotonic() + 60
+            while os.waitpid(pid, os.WNOHANG) == (0, 0):
+                if time.monotonic() > deadline:
+                    os.kill(pid, SIGKILL)
+                    os.waitpid(pid, 0)
+                    pytest.fail("the forked child's hyper_filter did not return within 60 s")
+                time.sleep(0.05)
+            with os.fdopen(read_end, "rb") as child_out:
+                assert child_out.read().decode() == expected
+        finally:
+            pool.shutdown()
+
+
 class TestPatternSignal:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_refused(self, bad):
@@ -335,6 +491,21 @@ class TestBuildDataset:
     def test_no_signals_rejected(self):
         with pytest.raises(ValueError, match="no signals"):
             build_dataset([], HyperFilterConfig(((1.0, 10.0),), bands_per_layer=3), 1)
+
+    def test_keeps_only_the_rows_it_returns(self):
+        # each signal's 786 x 33 pattern matrix is freed once its every 8th row
+        # is copied out; a strided view would hold all eight until the end
+        signals = default_signals(4)
+        bands = default_config().bands
+        build_dataset(signals[:1], bands, 8)  # designs and caches the kernels
+        tracemalloc.start()
+        try:
+            dataset = build_dataset(signals, bands, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(signals) == 8 and len(dataset) == 8 * 99
+        assert peak < 8 * 786 * 33 * 8
 
     def test_unlabeled_signal_rejected(self):
         samples = np.random.default_rng(5).normal(size=800)

@@ -262,17 +262,19 @@ class TestConfig:
 
 
 class TestRunPipeline:
-    def test_zero_signals_fails_at_dataset_stage(self, tmp_path):
+    def test_zero_signals_fails_at_synth_stage(self, tmp_path):
         config = replace(
             tiny_config(tmp_path / "run"),
             generation=GenerationConfig(duration_s=8.0, fs=100.0, n_per_class=0),
         )
-        with pytest.raises(PipelineError, match="dataset"):
+        with pytest.raises(PipelineError, match="synth"):
             run_pipeline(config)
         manifest = load_json(tmp_path / "run" / "manifest.json")
         assert manifest["status"] == "failed"
-        assert manifest["failed_stage"] == "dataset"
-        assert manifest["error"]
+        assert manifest["failed_stage"] == "synth"
+        assert manifest["error"] == "config generates zero signals (n_per_class=0)"
+        assert manifest["artifacts"] == ["config.json"]
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["config.json", "manifest.json"]
 
     def test_full_run_writes_manifest_and_metrics(self, tmp_path):
         config = tiny_config(tmp_path / "run")
@@ -658,6 +660,11 @@ class TestCliCommands:
                 {"generation": {"drowsy": {"label": "Sleepy"}}},
                 ("FormatError", "{}: generation: drowsy: label: 'Sleepy' is not a valid Label"),
             ),
+            (
+                "build-dataset",
+                {"generation": {"n_per_class": 0}},
+                ("ValueError", "config generates zero signals (n_per_class=0)"),
+            ),
         ],
     )
     def test_unusable_config_values_give_json_error(self, tmp_path, capsys, command, doc, error):
@@ -930,9 +937,8 @@ class TestCliCommands:
         err = json.loads(capsys.readouterr().err)
         assert err == {
             "error": {
-                "message": "stage 'dataset' failed: no signals to build a dataset from "
-                "(is n_per_class zero?)",
-                "stage": "dataset",
+                "message": "stage 'synth' failed: config generates zero signals (n_per_class=0)",
+                "stage": "synth",
                 "type": "PipelineError",
             }
         }

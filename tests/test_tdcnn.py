@@ -349,6 +349,55 @@ class TestCausality:
         assert np.max(np.abs(near - base)) > 1e-6
 
 
+def _reference_causal_conv(x, w, b, dilation, rows):
+    """The causal convolution as it was before its taps were added
+    contiguously: each tap's product over every column of ``x``, added into
+    a column slice of the output."""
+    n = x.shape[1]
+    (j0, _), *taps = tdcnn._tap_lags(w.shape[2], dilation, n // rows)
+    wt = w.transpose(2, 1, 0).copy()
+    y = wt[j0].T @ x
+    y += b[:, None]
+    tap = np.empty_like(y)
+    for j, lag in taps:
+        y[:, lag * rows :] += np.matmul(wt[j].T, x, out=tap)[:, : n - lag * rows]
+    return y
+
+
+def _reference_causal_conv_backward(dy, x, w, dilation, rows):
+    """Its backward as it was: each tap's ``dx`` added into a column slice."""
+    n = dy.shape[1]
+    (j0, _), *taps = tdcnn._tap_lags(w.shape[2], dilation, n // rows)
+    dw = np.zeros_like(w)
+    dx = w[:, :, j0].T @ dy
+    dw[:, :, j0] = dy @ x.T
+    for j, lag in taps:
+        shift = lag * rows
+        dx[:, : n - shift] += w[:, :, j].T @ dy[:, shift:]
+        dw[:, :, j] = dy[:, shift:] @ x[:, : n - shift].T
+    return dx, dw, dy.sum(axis=1)
+
+
+class TestCausalConvKernels:
+    @pytest.mark.parametrize("in_ch", [1, 16])
+    @pytest.mark.parametrize("rows", [1, 7, 32])
+    @pytest.mark.parametrize("kernel_size, length", [(3, 33), (2, 12)])
+    def test_bitwise_equal_to_the_column_slice_formulas(self, in_ch, rows, kernel_size, length):
+        # in_ch 1 is block 0, whose products are broadcast multiplies
+        rng = np.random.default_rng(in_ch * 100 + rows)
+        x = rng.normal(size=(in_ch, length * rows))
+        w = rng.normal(size=(16, in_ch, kernel_size))
+        b = rng.normal(size=16)
+        dy = rng.normal(size=(16, length * rows))
+        for dilation in (1, 2, 4, 8, 16):
+            y = tdcnn._causal_conv(x, w, b, dilation, rows)
+            assert y.tobytes() == _reference_causal_conv(x, w, b, dilation, rows).tobytes()
+            grads = tdcnn._causal_conv_backward(dy, x, w, dilation, rows)
+            expected = _reference_causal_conv_backward(dy, x, w, dilation, rows)
+            for got, want in zip(grads, expected):
+                assert got.tobytes() == want.tobytes()
+
+
 class TestTrain:
     def test_zero_epochs_returns_identical_copy(self):
         dataset = separable_dataset(n_rows=40)
