@@ -3,7 +3,9 @@
 The search space is the set of layer edge pairs on a fixed frequency grid;
 an action moves one edge by one grid step. The reward of a layout is the
 mean Fisher discriminant ratio of the pattern rows it produces for a
-labeled signal set, so better layouts separate the classes more.
+labeled signal set, so better layouts separate the classes more. A reward
+holds one class's pattern rows at a time: each class matrix is reduced to
+its per-column moments, in place, before the next is built.
 """
 
 from __future__ import annotations
@@ -152,37 +154,63 @@ class RlParams:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
 
 
+def _moments(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and population variance of ``rows``, bitwise
+    ``rows.mean(axis=0)`` and ``rows.var(axis=0)``.
+
+    The variance takes numpy's own steps (subtract the mean, square, sum over
+    the rows, divide by their count), but inside ``rows``: this overwrites its
+    argument, so the deviations need no second matrix.
+    """
+    mean = rows.mean(axis=0)
+    np.subtract(rows, mean, out=rows)
+    np.square(rows, out=rows)
+    var = rows.sum(axis=0)
+    var /= rows.shape[0]
+    return mean, var
+
+
+def _ratio(moments_a, moments_b) -> float:
+    """Mean over dimensions of (mu_a - mu_b)^2 / (var_a + var_b + eps)."""
+    (mean_a, var_a), (mean_b, var_b) = moments_a, moments_b
+    return float(np.mean((mean_a - mean_b) ** 2 / (var_a + var_b + _FISHER_EPS)))
+
+
 def fisher_score(class_a: np.ndarray, class_b: np.ndarray) -> float:
     """Mean per-dimension Fisher ratio (mu_a - mu_b)^2 / (var_a + var_b + eps).
 
     Scale-invariant: rescaling both classes by a common factor squares both
-    the numerator and the denominator variances identically.
+    the numerator and the denominator variances identically. The moments are
+    taken on float64 copies in the inputs' memory order (C, Fortran or a
+    strided view's), so the callers' arrays are never written and each copy
+    reduces in the same order as its input would.
     """
-    a = np.atleast_2d(np.asarray(class_a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(class_b, dtype=np.float64))
+    a = np.array(class_a, dtype=np.float64, ndmin=2)
+    b = np.array(class_b, dtype=np.float64, ndmin=2)
     if a.shape[1] != b.shape[1]:
         raise ValueError("class matrices must share the feature dimension")
-    num = (a.mean(axis=0) - b.mean(axis=0)) ** 2
-    den = a.var(axis=0) + b.var(axis=0) + _FISHER_EPS
-    return float(np.mean(num / den))
+    if not (a.shape[0] and b.shape[0]):
+        raise ValueError(f"each class needs at least one row, got {a.shape[0]} and {b.shape[0]}")
+    return _ratio(_moments(a), _moments(b))
 
 
 def dataset_reward(dataset: PatternDataset) -> float:
     """Class separability of a dataset: the Fisher score of its Drowsy rows
-    against its Wakeful rows."""
+    against its Wakeful rows. Each class's rows are copied out and reduced
+    to their moments before the other's are copied."""
     dataset.require_both_classes()
     drowsy = dataset.labels == LABEL_INDEX[Label.DROWSY]
-    return fisher_score(dataset.values[drowsy], dataset.values[~drowsy])
+    return _ratio(_moments(dataset.values[drowsy]), _moments(dataset.values[~drowsy]))
 
 
 def reward(config: HyperFilterConfig, labeled_signals: list[PpgSignal]) -> float:
     """Class separability of the pattern rows a band layout produces: the
     Fisher score of the Drowsy signals' rows against the Wakeful signals'.
 
-    Each class's rows are built on their own, in signal order. They are
-    bitwise the class matrices ``dataset_reward`` would copy out of the
-    whole dataset, and the whole dataset never sits beside them, which
-    halves the memory a layout with a narrow margin holds at once.
+    Each class's rows are built on their own, in signal order: bitwise the
+    class matrices ``dataset_reward`` would copy out of the whole dataset.
+    One class's matrix is held at a time: it is reduced to its moments, in
+    place, and dropped before the other class is built.
     """
     by_class: dict[Label, list[PpgSignal]] = {label: [] for label in INDEX_LABEL}
     for i, sig in enumerate(labeled_signals):
@@ -192,8 +220,8 @@ def reward(config: HyperFilterConfig, labeled_signals: list[PpgSignal]) -> float
     if not all(by_class.values()):
         counts = {label.value: len(group) for label, group in by_class.items()}
         raise ValueError(f"the reward needs signals of both classes, got signal counts {counts}")
-    drowsy, wakeful = (build_dataset(by_class[label], config, 1).values for label in INDEX_LABEL)
-    return fisher_score(drowsy, wakeful)
+    drowsy, wakeful = (_moments(build_dataset(by_class[label], config, 1).values) for label in INDEX_LABEL)
+    return _ratio(drowsy, wakeful)
 
 
 def _fitted(space: SearchSpace, data: list[PpgSignal]) -> SearchSpace:

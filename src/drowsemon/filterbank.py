@@ -5,9 +5,10 @@ sub-bands ("hyper-filtering"). Each (layer, band) pair yields one filtered
 channel; a pattern is the cross-channel vector of one time sample. Only
 samples outside the longest kernel's edge margin become patterns.
 ``pattern_rows`` returns a signal's patterns as one (rows, channels)
-matrix; ``build_dataset`` stacks those of many labeled signals for the
-classifiers and the band-search reward. ``pattern_signals`` gives the
-rows of one signal as ``PatternSignal`` objects carrying its label.
+matrix; ``build_dataset`` writes those of many labeled signals into one
+matrix, allocated up front, for the classifiers and the band-search
+reward. ``pattern_signals`` gives the rows of one signal as
+``PatternSignal`` objects carrying its label.
 ``_kernel_bank`` designs the latest (layout, fs) pair's kernels once, with
 read-only taps shared by every signal; ``apply_filter`` computes only the
 input-length part of each convolution, bitwise equal to the full one sliced.
@@ -405,15 +406,30 @@ def pattern_signals(stack: FilteredStack) -> list[PatternSignal]:
 def build_dataset(
     signals: list[PpgSignal], bands: HyperFilterConfig, stride: int
 ) -> PatternDataset:
-    """Hyper-filter every labeled signal and keep every ``stride``-th pattern row."""
+    """Hyper-filter every labeled signal and keep every ``stride``-th pattern row.
+
+    Each signal's kept rows are counted before any filtering, by the margin
+    rule of ``FilteredStack.default_margin``, so the rows are written into
+    one matrix allocated up front: besides the output, only one signal's
+    stack and pattern matrix are held at a time.
+    """
     if not signals:
         raise ValueError("no signals to build a dataset from (is n_per_class zero?)")
-    values, labels = [], []
-    for i, sig in enumerate(signals):
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    # the samples pattern_rows keeps; a signal too short for the layout keeps
+    # none here, and hyper_filter refuses it below, in signal order
+    counts = []
+    for sig in signals:
+        margin = (_max_taps(bands, sig.fs) - 1) // 2
+        counts.append(len(range(margin, sig.samples.size - margin, stride)))
+    values = np.empty((sum(counts), len(bands.layers) * bands.bands_per_layer))
+    labels = np.empty(values.shape[0], dtype=np.int64)
+    start = 0
+    for i, (sig, count) in enumerate(zip(signals, counts)):
         if sig.label is None:
             raise ValueError(f"signal {i} is unlabeled: every signal needs a class label")
-        # a copy, so each signal's whole pattern matrix is freed before the next
-        rows = np.ascontiguousarray(pattern_rows(hyper_filter(sig, bands))[::stride])
-        values.append(rows)
-        labels.append(np.full(rows.shape[0], LABEL_INDEX[sig.label]))
-    return PatternDataset(np.concatenate(values), np.concatenate(labels))
+        values[start : start + count] = pattern_rows(hyper_filter(sig, bands))[::stride]
+        labels[start : start + count] = LABEL_INDEX[sig.label]
+        start += count
+    return PatternDataset(values, labels)

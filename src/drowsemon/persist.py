@@ -3,9 +3,9 @@
 Reals are written as the ``repr`` of Python floats, an array as
 ``map(repr, array.tolist())`` and a header scalar by ``_fmt``, and read by
 ``_parse_floats``, one ``float`` pass that names the line or element of the
-first non-number; so load(save(x)) reproduces bit-identical doubles. JSON
-documents are emitted with sorted keys and a trailing newline, which makes
-artifact files byte-stable across runs.
+first non-number or non-finite number; so load(save(x)) reproduces
+bit-identical doubles. JSON documents are emitted with sorted keys and a
+trailing newline, which makes artifact files byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -59,9 +59,10 @@ def _fmt(x: float) -> str:
 # The parsers call ``where(i)`` for the location of their i-th text only to
 # raise, so a reader formats no location for the values that parse.
 def _parse_floats(texts: Sequence[str], where: Callable[[int], str]) -> np.ndarray:
-    """float64 array of ``texts``; the first non-number is refused at ``where(i)``."""
+    """float64 array of ``texts``; the first non-number, or the first ``nan``
+    or infinity, is refused at ``where(i)``."""
     try:
-        return np.array(list(map(float, texts)))
+        values = np.array(list(map(float, texts)))
     except ValueError:
         for i, text in enumerate(texts):
             try:
@@ -69,6 +70,11 @@ def _parse_floats(texts: Sequence[str], where: Callable[[int], str]) -> np.ndarr
             except ValueError as exc:
                 raise FormatError(f"{where(i)}: expected a number, got {text!r}") from exc
         raise
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise FormatError(f"{where(i)}: expected a finite number, got {texts[i]!r}")
+    return values
 
 
 def _parse_label(text: str, where: Callable[[int], str]) -> Label | None:

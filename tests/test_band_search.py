@@ -11,6 +11,7 @@ from drowsemon.band_search import (
     SearchSpace,
     SpaceTooLargeError,
     _fitted,
+    _moments,
     dataset_reward,
     enumerate_best,
     fisher_score,
@@ -45,6 +46,13 @@ def tones():
 THREE_CONFIG_SPACE = SearchSpace(grid_hz=3.0, min_width_hz=6.0, n_layers=1, bands_per_layer=3)
 
 
+def formula_fisher_score(a, b):
+    """The Fisher score written out with numpy's own mean and variance."""
+    num = (a.mean(axis=0) - b.mean(axis=0)) ** 2
+    den = a.var(axis=0) + b.var(axis=0) + 1e-9
+    return float(np.mean(num / den))
+
+
 class TestFisherScore:
     def test_unit_separation_single_dimension(self):
         s = math.sqrt(0.5)
@@ -61,6 +69,34 @@ class TestFisherScore:
         a = np.array([[-s, 0.0], [s, 0.0]])
         b = np.array([[1 - s, 0.0], [1 + s, 0.0]])
         assert abs(fisher_score(a, b) - 0.5) <= 1e-6
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 7, 786, 22_912])
+    def test_moments_are_bitwise_the_numpy_mean_and_variance(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        scale = 10.0 ** rng.uniform(-6, 3, size=33)
+        rows = scale * (rng.normal(size=(n_rows, 33)) + rng.normal(size=33))
+        mean, var = rows.mean(axis=0), rows.var(axis=0)
+        got_mean, got_var = _moments(rows)
+        assert got_mean.tobytes() == mean.tobytes()
+        assert got_var.tobytes() == var.tobytes()
+
+    @pytest.mark.parametrize("layout", ["C", "Fortran", "strided view"])
+    def test_bitwise_the_formula_and_leaves_its_inputs(self, layout):
+        rng = np.random.default_rng(11)
+        a = 1e-3 * rng.normal(size=(301, 12)) + 0.5
+        b = 2e-3 * rng.normal(size=(257, 12)) - 0.25
+        if layout == "Fortran":
+            a, b = np.asfortranarray(a), np.asfortranarray(b)
+        elif layout == "strided view":
+            a, b = a[::3, ::2], b[1::2, 1::2]
+        before = a.tobytes(), b.tobytes()
+        assert fisher_score(a, b) == formula_fisher_score(a, b)
+        assert (a.tobytes(), b.tobytes()) == before
+
+    def test_a_class_with_no_rows_is_refused(self):
+        with pytest.raises(ValueError) as info:
+            fisher_score(np.empty((0, 3)), np.ones((4, 3)))
+        assert str(info.value) == "each class needs at least one row, got 0 and 4"
 
 
 class TestReward:
@@ -124,6 +160,21 @@ class TestReward:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 8 * 786 * 33 * 8
+
+    def test_holds_one_class_matrix_at_a_time(self):
+        # each class of the 32 default signals keeps 16 x 786 rows of 33
+        # channels; its moments are taken before the other class is built
+        config = default_config()
+        signals = generate_signals(config)
+        reward(config.bands, [signals[0], signals[-1]])  # designs and caches the kernels
+        tracemalloc.start()
+        try:
+            reward(config.bands, signals)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [s.label for s in signals].count(Label.DROWSY) == 16 and len(signals) == 32
+        assert peak < 1.5 * 16 * 786 * 33 * 8
 
 
 class TestNeighbors:

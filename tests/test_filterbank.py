@@ -31,7 +31,7 @@ from drowsemon.filterbank import (
     subband_edges,
 )
 from drowsemon.pipeline import default_config, generate_signals
-from drowsemon.signal_gen import Label, PpgSignal
+from drowsemon.signal_gen import LABEL_INDEX, Label, PpgSignal
 
 
 def sine(freq, fs=100.0, seconds=40.0, amplitude=1.0):
@@ -512,3 +512,50 @@ class TestBuildDataset:
         signals = [PpgSignal(samples, 100.0, Label.DROWSY), PpgSignal(samples, 100.0, None)]
         with pytest.raises(ValueError, match="class label"):
             build_dataset(signals, HyperFilterConfig(((1.0, 10.0),), bands_per_layer=3), 1)
+
+    def test_holds_one_signal_beside_its_output(self):
+        # each signal's rows go straight into the output: no per-signal list
+        # and no concatenated copy of it
+        signals = default_signals(16)
+        bands = default_config().bands
+        build_dataset(signals[:1], bands, 1)  # designs and caches the kernels
+        tracemalloc.start()
+        try:
+            dataset = build_dataset(signals, bands, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dataset.values.shape == (32 * 786, 33)
+        assert peak < 1.3 * dataset.values.nbytes
+
+    @pytest.mark.parametrize("stride", [1, 3, 8])
+    def test_bitwise_the_concatenated_rows_of_each_signal(self, stride):
+        # signals of 2,400 and 2,000 samples keep 786 and 386 rows each
+        long = default_signals(1)
+        short = [PpgSignal(s.samples[:2000], s.fs, s.label) for s in long]
+        signals = [long[0], short[1], short[0], long[1]]
+        bands = default_config().bands
+        rows = [pattern_rows(hyper_filter(s, bands))[::stride] for s in signals]
+        dataset = build_dataset(signals, bands, stride)
+        assert dataset.values.shape == (sum(r.shape[0] for r in rows), 33)
+        assert dataset.values.tobytes() == np.concatenate(rows).tobytes()
+        labels = [np.full(r.shape[0], LABEL_INDEX[s.label]) for r, s in zip(rows, signals)]
+        assert np.array_equal(dataset.labels, np.concatenate(labels))
+
+    def test_signals_are_refused_in_signal_order(self):
+        bands = HyperFilterConfig(((1.0, 10.0),), bands_per_layer=3)  # 661 taps at 100 Hz
+        too_short = PpgSignal(np.ones(600), 100.0, Label.DROWSY)
+        unlabeled = PpgSignal(np.ones(800), 100.0, None)
+        with pytest.raises(SignalTooShortError):
+            build_dataset([too_short, unlabeled], bands, 1)
+        with pytest.raises(ValueError) as info:
+            build_dataset([unlabeled, too_short], bands, 1)
+        assert str(info.value) == "signal 0 is unlabeled: every signal needs a class label"
+
+    @pytest.mark.parametrize("stride", [-1, 0])
+    def test_stride_below_one_refused_before_filtering(self, stride):
+        # the signal is too short for the layout, so filtering would refuse it
+        signals = [PpgSignal(np.ones(600), 100.0, Label.DROWSY)]
+        with pytest.raises(ValueError) as info:
+            build_dataset(signals, HyperFilterConfig(((1.0, 10.0),), bands_per_layer=3), stride)
+        assert str(info.value) == f"stride must be >= 1, got {stride}"

@@ -74,6 +74,9 @@ class TestSignalRoundTrip:
             # a sample's line counts the blank lines before it
             ("# fs=100.0,label=Drowsy\n\n1.0\n\n\n2.0\n \ny\n3.0\n",
              "sig.csv:8: expected a number, got 'y'"),
+            # a non-finite sample is refused where it is read, not by PpgSignal
+            ("# fs=100.0,label=\n1.0\nnan\n2.0\n", "sig.csv:3: expected a finite number, got 'nan'"),
+            ("# fs=inf,label=\n1.0\n", "sig.csv:1: expected a finite number, got 'inf'"),
         ],
     )
     def test_error_message_exact(self, tmp_path, text, message):
@@ -176,6 +179,7 @@ class TestDatasetRoundTrip:
             ("label,c0,c1\nDrowsy,1.0,2.0\n\nWakeful,3.0,4.0\nDrowsy,5.0,bad\n",
              "dataset.csv:5: expected a number, got 'bad'"),
             ("label\nDrowsy\n", "dataset.csv:1: header names no channel column"),
+            ("label,c0,c1\nWakeful,1.0,-inf\n", "dataset.csv:2: expected a finite number, got '-inf'"),
         ],
     )
     def test_error_message_exact(self, tmp_path, text, message):
@@ -222,6 +226,18 @@ class TestModelRoundTrip:
         with pytest.raises(FormatError) as info:
             load_model(path)
         assert str(info.value) == f"{path}: expected 9122 weights, got 9121"
+
+    @pytest.mark.parametrize("index, text", [(0, "nan"), (9121, "inf")])
+    def test_non_finite_weight_refused(self, tmp_path, index, text):
+        # a nan weight would score every row nan, which reads as Drowsy
+        path = tmp_path / "model.json"
+        save_model(path, init_model(ArchSpec(), seed=0))  # 9,122 weights
+        obj = json.loads(path.read_text())
+        obj["weights"][index] = text
+        path.write_text(json.dumps(obj))
+        with pytest.raises(FormatError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: weights[{index}]: expected a finite number, got {text!r}"
 
     @pytest.mark.parametrize(
         "change, message",
