@@ -16,15 +16,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .filterbank import PPG_BAND, HyperFilterConfig, PatternDataset, _max_taps, build_dataset
-from .signal_gen import INDEX_LABEL, LABEL_INDEX, Label, PpgSignal
+from .filterbank import PPG_BAND, HyperFilterConfig, _max_taps, build_dataset
+from .signal_gen import INDEX_LABEL, Label, PpgSignal
 
 __all__ = [
     "SearchSpace",
     "RlParams",
     "SpaceTooLargeError",
     "fisher_score",
-    "dataset_reward",
     "reward",
     "q_learn",
     "enumerate_best",
@@ -189,18 +188,11 @@ def fisher_score(class_a: np.ndarray, class_b: np.ndarray) -> float:
     b = np.array(class_b, dtype=np.float64, ndmin=2)
     if a.shape[1] != b.shape[1]:
         raise ValueError("class matrices must share the feature dimension")
+    if not a.shape[1]:
+        raise ValueError("class matrices need at least one feature column, got 0")
     if not (a.shape[0] and b.shape[0]):
         raise ValueError(f"each class needs at least one row, got {a.shape[0]} and {b.shape[0]}")
     return _ratio(_moments(a), _moments(b))
-
-
-def dataset_reward(dataset: PatternDataset) -> float:
-    """Class separability of a dataset: the Fisher score of its Drowsy rows
-    against its Wakeful rows. Each class's rows are copied out and reduced
-    to their moments before the other's are copied."""
-    dataset.require_both_classes()
-    drowsy = dataset.labels == LABEL_INDEX[Label.DROWSY]
-    return _ratio(_moments(dataset.values[drowsy]), _moments(dataset.values[~drowsy]))
 
 
 def reward(config: HyperFilterConfig, labeled_signals: list[PpgSignal]) -> float:
@@ -208,9 +200,9 @@ def reward(config: HyperFilterConfig, labeled_signals: list[PpgSignal]) -> float
     Fisher score of the Drowsy signals' rows against the Wakeful signals'.
 
     Each class's rows are built on their own, in signal order: bitwise the
-    class matrices ``dataset_reward`` would copy out of the whole dataset.
-    One class's matrix is held at a time: it is reduced to its moments, in
-    place, and dropped before the other class is built.
+    class's rows of ``build_dataset`` over every signal. One class's matrix
+    is held at a time: it is reduced to its moments, in place, and dropped
+    before the other class is built.
     """
     by_class: dict[Label, list[PpgSignal]] = {label: [] for label in INDEX_LABEL}
     for i, sig in enumerate(labeled_signals):

@@ -15,12 +15,13 @@ input-length part of each convolution, bitwise equal to the full one sliced.
 
 ``hyper_filter`` spreads a signal's channels over helper threads, one fewer
 than the CPUs the process may run on and never more than the channels less
-one; the calling thread convolves its own share. The shares are balanced
-by multiply-adds, since the kernels' lengths differ. ``np.convolve``
-releases the interpreter lock, so the helpers run in parallel. Each channel
-is still one ``np.convolve`` of the same operands, stacked in channel order,
-so the stack is bitwise the same on any CPU count; on one CPU no helper
-exists. The helpers are started on first use, and a forked child drops its
+one; the calling thread convolves its own share. The channels are dealt
+to the shares in turn, longest kernel first, so no share's taps exceed
+another's by more than one kernel. ``np.convolve`` releases the
+interpreter lock, so the helpers run in parallel. Each channel is still
+one ``np.convolve`` of the same operands, stacked in channel order, so the
+stack is bitwise the same on any CPU count; on one CPU no helper exists.
+The helpers are started on first use, and a forked child drops its
 parent's (their threads do not survive a fork) and starts its own.
 """
 
@@ -330,26 +331,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _macs(n: int, taps: int) -> int:
-    """Multiply-adds of an n-sample "same" convolution with a ``taps``-tap
-    kernel (odd, at most n): the outputs within (taps - 1) / 2 of an edge
-    overlap the input less."""
-    mid = (taps - 1) // 2
-    return n * taps - mid * (mid + 1)
-
-
-def _shares(macs: list[int], n_shares: int) -> list[list[int]]:
-    """Channel indices split into ``n_shares`` lists of near-equal multiply-add
-    totals: each channel, costliest first, joins the lightest list so far."""
-    shares = [[] for _ in range(n_shares)]
-    loads = [0] * n_shares
-    for c in sorted(range(len(macs)), key=lambda c: -macs[c]):
-        i = loads.index(min(loads))
-        shares[i].append(c)
-        loads[i] += macs[c]
-    return shares
-
-
 def _convolve_share(out: np.ndarray, x: np.ndarray, bank, share: list[int]) -> None:
     for c in share:
         out[c] = _convolve(x, bank[c][1].taps)
@@ -371,8 +352,9 @@ def hyper_filter(signal: PpgSignal, config: HyperFilterConfig) -> FilteredStack:
         )
     bank = _kernel_bank(config, signal.fs)
     pool, n_helpers = _helper_pool()
-    macs = [_macs(x.size, k.taps.size) for _, k in bank]
-    mine, *theirs = _shares(macs, 1 + min(n_helpers, len(bank) - 1))
+    n_shares = 1 + min(n_helpers, len(bank) - 1)
+    order = sorted(range(len(bank)), key=lambda c: -bank[c][0].taps)
+    mine, *theirs = (order[i::n_shares] for i in range(n_shares))
     channels = np.empty((len(bank), x.size))
     futures = [pool.submit(_convolve_share, channels, x, bank, share) for share in theirs]
     _convolve_share(channels, x, bank, mine)

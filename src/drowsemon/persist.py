@@ -241,7 +241,10 @@ def _read_sample_header(path, lines: list[str]) -> tuple[float, Label | None]:
     if not match:
         raise FormatError(f"{path}:1: expected header '# fs=<hz>,label=<name>'")
     at = lambda _: f"{path}:1"
-    return _parse_floats([match.group(1)], at).item(), _parse_label(match.group(2), at)
+    fs = _parse_floats([match.group(1)], at).item()
+    if fs <= 0:
+        raise FormatError(f"{path}:1: expected a positive fs, got {match.group(1)!r}")
+    return fs, _parse_label(match.group(2), at)
 
 
 def save_signal_csv(path: str | Path, signal: PpgSignal) -> None:

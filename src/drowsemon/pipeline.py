@@ -19,7 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .band_search import RlParams, SearchSpace, dataset_reward, q_learn
+from .band_search import RlParams, SearchSpace, fisher_score, q_learn
 from .filterbank import HyperFilterConfig, PatternDataset, build_dataset
 from .persist import (
     dataclass_from_dict,
@@ -391,7 +391,8 @@ def run_pipeline(config: PipelineConfig) -> RunManifest:
 
     with stage("dataset"):
         dataset = dataset_stage(config, signals, bands, emit)
-        metrics["reward"] = dataset_reward(dataset)
+        values, labels = dataset.values, dataset.labels
+        metrics["reward"] = fisher_score(values[labels == 0], values[labels == 1])
 
     with stage("train"):
         model, history, val_ds = train_stage(config, dataset, emit)

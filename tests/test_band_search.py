@@ -12,7 +12,6 @@ from drowsemon.band_search import (
     SpaceTooLargeError,
     _fitted,
     _moments,
-    dataset_reward,
     enumerate_best,
     fisher_score,
     q_learn,
@@ -98,6 +97,12 @@ class TestFisherScore:
             fisher_score(np.empty((0, 3)), np.ones((4, 3)))
         assert str(info.value) == "each class needs at least one row, got 0 and 4"
 
+    @pytest.mark.parametrize("a, b", [(np.array([]), np.array([])), (np.empty((3, 0)), np.empty((4, 0)))])
+    def test_classes_with_no_feature_column_are_refused(self, a, b):
+        with pytest.raises(ValueError) as info:
+            fisher_score(a, b)
+        assert str(info.value) == "class matrices need at least one feature column, got 0"
+
 
 class TestReward:
     def test_identical_sample_sets_score_zero(self, tones):
@@ -145,7 +150,9 @@ class TestReward:
     def test_is_the_dataset_reward_of_every_row(self, tones):
         # the tones alternate classes, so each class's rows are spread over the dataset
         config = HyperFilterConfig(((1.0, 10.0), (2.0, 8.0)), bands_per_layer=3)
-        assert reward(config, tones) == dataset_reward(build_dataset(tones, config, 1))
+        dataset = build_dataset(tones, config, 1)
+        values, labels = dataset.values, dataset.labels
+        assert reward(config, tones) == fisher_score(values[labels == 0], values[labels == 1])
 
     def test_never_holds_the_whole_dataset_beside_its_class_rows(self):
         # 8 default signals keep 786 rows of 33 channels each: building every

@@ -274,13 +274,16 @@ def serial_stack(monkeypatch, signal, layout) -> bytes:
 
 
 class InlineExecutor:
-    """Runs each submitted call at once on the caller's thread, and counts them."""
+    """Runs each submitted call at once on the caller's thread, counts them
+    and records each one's channel share (its last argument)."""
 
     def __init__(self):
         self.calls = 0
+        self.shares = []
 
     def submit(self, fn, *args):
         self.calls += 1
+        self.shares.append(list(args[-1]))
         future = Future()
         future.set_result(fn(*args))
         return future
@@ -316,24 +319,39 @@ class TestHelperThreads:
         assert hyper_filter(signal, layout).channels.tobytes() == serial
         assert pool.calls == submitted
 
-    @pytest.mark.parametrize("layout", HELPER_LAYOUTS)
-    @pytest.mark.parametrize("n_shares", [2, 3, 4])
-    def test_shares_are_balanced_by_multiply_adds(self, layout, n_shares):
-        # greedy costliest-first assignment: no share exceeds another by more
-        # than one channel's cost, whereas splitting the channel list in halves
-        # would give one share the cheap 807-tap layer
-        macs = [filterbank._macs(2400, k.taps.size) for _, k in filterbank._kernel_bank(layout, 100.0)]
-        shares = filterbank._shares(macs, n_shares)
-        assert sorted(c for share in shares for c in share) == list(range(len(macs)))
-        loads = [sum(macs[c] for c in share) for share in shares]
-        assert max(loads) - min(loads) <= max(macs)
+    # one band per layer, 1.0, 0.6 and 0.8 Hz wide: 661, 1,101 and 827 taps,
+    # with the longest kernel in the middle of the channel order
+    @pytest.mark.parametrize(
+        "layout", [*HELPER_LAYOUTS, HyperFilterConfig(((3.0, 4.0), (1.0, 1.6), (2.0, 2.8)), bands_per_layer=1)]
+    )
+    @pytest.mark.parametrize("n_helpers", [1, 2, 3])
+    def test_shares_are_dealt_longest_kernel_first(self, monkeypatch, layout, n_helpers):
+        signal = default_signals(1)[0]
+        serial = serial_stack(monkeypatch, signal, layout)
+        bank = filterbank._kernel_bank(layout, signal.fs)
+        channel_of = {id(kernel.taps): c for c, (_, kernel) in enumerate(bank)}
+        convolved = []  # the channel of each convolution, in call order
+        convolve = filterbank._convolve
 
-    @pytest.mark.parametrize("n, taps", [(1, 1), (9, 5), (9, 9), (2400, 807), (2400, 2075)])
-    def test_macs_count_each_output_samples_overlap(self, n, taps):
-        # "same" output k overlaps the input on min(k + 1, taps, n + taps - 1 - k) taps
-        mid = (taps - 1) // 2
-        overlaps = [min(k + 1, taps, n + taps - 1 - k) for k in range(mid, mid + n)]
-        assert filterbank._macs(n, taps) == sum(overlaps)
+        def counted(x, taps):
+            convolved.append(channel_of[id(taps)])
+            return convolve(x, taps)
+
+        pool = InlineExecutor()
+        monkeypatch.setattr(filterbank, "_convolve", counted)
+        monkeypatch.setattr(filterbank, "_helper_pool", lambda: (pool, n_helpers))
+        stack = hyper_filter(signal, layout)
+        taps = [m.taps for m in stack.channel_meta]
+        # the helpers' shares run at submission, before the caller's own
+        submitted = [c for share in pool.shares for c in share]
+        assert convolved[: len(submitted)] == submitted
+        shares = [convolved[len(submitted) :], *pool.shares]
+        assert len(shares) == 1 + min(n_helpers, len(taps) - 1)
+        assert sorted(convolved) == list(range(len(taps)))
+        assert max(taps[c] for c in shares[0]) == max(taps)
+        loads = [sum(taps[c] for c in share) for share in shares]
+        assert max(loads) - min(loads) <= max(taps)
+        assert stack.channels.tobytes() == serial
 
     def test_concurrent_callers_get_the_serial_bytes(self, monkeypatch):
         signal = default_signals(1)[0]

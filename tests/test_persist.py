@@ -77,6 +77,9 @@ class TestSignalRoundTrip:
             # a non-finite sample is refused where it is read, not by PpgSignal
             ("# fs=100.0,label=\n1.0\nnan\n2.0\n", "sig.csv:3: expected a finite number, got 'nan'"),
             ("# fs=inf,label=\n1.0\n", "sig.csv:1: expected a finite number, got 'inf'"),
+            # so is a sampling rate of zero or below
+            ("# fs=-5,label=Drowsy\n1.0\n", "sig.csv:1: expected a positive fs, got '-5'"),
+            ("# fs=0,label=Drowsy\n1.0\n", "sig.csv:1: expected a positive fs, got '0'"),
         ],
     )
     def test_error_message_exact(self, tmp_path, text, message):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from drowsemon.band_search import dataset_reward
+from drowsemon.band_search import fisher_score
 from drowsemon.cli import build_parser, entrypoint, main
 from drowsemon.filterbank import (
     HyperFilterConfig,
@@ -292,7 +292,8 @@ class TestRunPipeline:
     def test_reward_is_the_dataset_reward_of_dataset_csv(self, tmp_path):
         manifest = run_pipeline(tiny_config(tmp_path / "run"))
         dataset = load_dataset_csv(tmp_path / "run" / "dataset.csv")
-        assert manifest.metrics["reward"] == dataset_reward(dataset)
+        values, labels = dataset.values, dataset.labels
+        assert manifest.metrics["reward"] == fisher_score(values[labels == 0], values[labels == 1])
 
     def test_default_config_with_search_completes(self, tmp_path):
         base = default_config(out_dir=str(tmp_path / "run"))
@@ -681,11 +682,13 @@ class TestCliCommands:
     def input_files(tmp_path) -> dict[str, str]:
         """One file of each kind the file-reading commands take, good or bad."""
         files = {name: tmp_path / name for name in
-                 ["model.json", "sig.csv", "empty.csv", "x_header.csv", "boxes.json", "mask.pgm",
-                  "empty.pgm", "short.pgm", "x.pgm"]}
+                 ["model.json", "sig.csv", "empty.csv", "neg_fs.csv", "zero_fs.csv", "x_header.csv",
+                  "boxes.json", "mask.pgm", "empty.pgm", "short.pgm", "x.pgm"]}
         save_model(files["model.json"], init_model(tiny_config(tmp_path).arch, seed=1))
         save_signal_csv(files["sig.csv"], generate_ppg(DROWSY_PRESET, 8.0, 100, seed=2))
         files["empty.csv"].write_text("")
+        files["neg_fs.csv"].write_text("# fs=-5,label=Drowsy\n1.0\n")
+        files["zero_fs.csv"].write_text("# fs=0,label=Drowsy\n1.0\n")
         files["x_header.csv"].write_text("x,c0\nDrowsy,1.0\n")
         save_boxes(files["boxes.json"], [BoundingBox(0, 0, 5, 10)])
         save_mask_pgm(files["mask.pgm"], np.eye(3, dtype=int))
@@ -704,6 +707,14 @@ class TestCliCommands:
             (
                 ["assess", "--model", "{model_json}", "--signal", "{empty_csv}"],
                 ("FormatError", "{empty_csv}:1: empty signal file"),
+            ),
+            (
+                ["assess", "--model", "{model_json}", "--signal", "{neg_fs_csv}"],
+                ("FormatError", "{neg_fs_csv}:1: expected a positive fs, got '-5'"),
+            ),
+            (
+                ["assess", "--model", "{model_json}", "--signal", "{zero_fs_csv}"],
+                ("FormatError", "{zero_fs_csv}:1: expected a positive fs, got '0'"),
             ),
             (
                 ["eval", "--model", "{model_json}", "--dataset", "{empty_csv}"],
