@@ -21,8 +21,9 @@ another's by more than one kernel. ``np.convolve`` releases the
 interpreter lock, so the helpers run in parallel. Each channel is still
 one ``np.convolve`` of the same operands, stacked in channel order, so the
 stack is bitwise the same on any CPU count; on one CPU no helper exists.
-The helpers are started on first use, and a forked child drops its
-parent's (their threads do not survive a fork) and starts its own.
+The helpers are made once per process, on first use. The pool is keyed by
+pid, so a forked child makes its own rather than wait on its parent's,
+whose threads do not survive a fork.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -299,36 +299,20 @@ def _kernel_bank(config: HyperFilterConfig, fs: float) -> tuple[tuple[ChannelMet
     return tuple(bank)
 
 
-_pool = None  # (executor or None, helper count), made by the first ``_helper_pool`` call
-_pool_lock = threading.Lock()
+@functools.lru_cache(maxsize=1)
+def _helper_pool(pid: int):
+    """The convolution helpers of process ``pid`` as ``(executor, count)``:
+    one thread fewer than the CPUs this process may run on, or ``(None, 0)``
+    on one CPU. Made once per process (first callers that race may each make
+    one; the cache keeps one), and a forked child asks with its own pid."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n = (cpus or 1) - 1
+    if n < 1:
+        return None, 0
+    # imported here: at module level it raised search's peak_rss_mb by about 3 MB
+    from concurrent.futures import ThreadPoolExecutor
 
-
-def _helper_pool():
-    """The convolution helpers as ``(executor, count)``: one thread fewer
-    than the CPUs this process may run on, or ``(None, 0)`` on one CPU.
-    Made on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-            n = (cpus or 1) - 1
-            if n < 1:
-                _pool = (None, 0)
-            else:
-                from concurrent.futures import ThreadPoolExecutor
-
-                _pool = (ThreadPoolExecutor(n, thread_name_prefix="drowsemon-convolve"), n)
-        return _pool
-
-
-def _forget_pool() -> None:
-    """Drop the parent's helpers in a forked child, whose copy has no threads."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    return ThreadPoolExecutor(n, thread_name_prefix="drowsemon-convolve"), n
 
 
 def _convolve_share(out: np.ndarray, x: np.ndarray, bank, share: list[int]) -> None:
@@ -351,7 +335,7 @@ def hyper_filter(signal: PpgSignal, config: HyperFilterConfig) -> FilteredStack:
             f"got {x.size}"
         )
     bank = _kernel_bank(config, signal.fs)
-    pool, n_helpers = _helper_pool()
+    pool, n_helpers = _helper_pool(os.getpid())
     n_shares = 1 + min(n_helpers, len(bank) - 1)
     order = sorted(range(len(bank)), key=lambda c: -bank[c][0].taps)
     mine, *theirs = (order[i::n_shares] for i in range(n_shares))

@@ -269,7 +269,7 @@ def default_signals(n_per_class):
 
 def serial_stack(monkeypatch, signal, layout) -> bytes:
     with monkeypatch.context() as m:
-        m.setattr(filterbank, "_helper_pool", lambda: (None, 0))
+        m.setattr(filterbank, "_helper_pool", lambda pid: (None, 0))
         return hyper_filter(signal, layout).channels.tobytes()
 
 
@@ -297,17 +297,29 @@ class TestHelperThreads:
         assert [hyper_filter(s, layout).channels.tobytes() for s in signals] == serial
         # three helpers, whatever this machine's CPU count
         with ThreadPoolExecutor(3) as pool:
-            monkeypatch.setattr(filterbank, "_helper_pool", lambda: (pool, 3))
+            monkeypatch.setattr(filterbank, "_helper_pool", lambda pid: (pool, 3))
             assert [hyper_filter(s, layout).channels.tobytes() for s in signals] == serial
 
     def test_helpers_are_one_fewer_than_the_usable_cpus(self, monkeypatch):
         for cpus, helpers in [(8, 7), (2, 1), (1, 0)]:
-            monkeypatch.setattr(filterbank, "_pool", None)
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-            pool, n = filterbank._helper_pool()
+            pool, n = filterbank._helper_pool.__wrapped__(os.getpid())
             assert n == helpers and (pool is None) == (helpers == 0)
             if pool is not None:
                 pool.shutdown()
+        # made once per process, not once per call
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        filterbank._helper_pool.cache_clear()
+        try:
+            pool, n = filterbank._helper_pool(os.getpid())
+            assert n == 3 and filterbank._helper_pool(os.getpid())[0] is pool
+            other, _ = filterbank._helper_pool(os.getpid() + 1)  # as a forked child asks
+            assert other is not pool
+            pool.shutdown()
+            other.shutdown()
+        finally:
+            # the next caller makes helpers for this machine's CPU count
+            filterbank._helper_pool.cache_clear()
 
     @pytest.mark.parametrize("bands_per_layer, submitted", [(3, 2), (11, 7)])
     def test_at_most_one_helper_fewer_than_the_channels(self, monkeypatch, bands_per_layer, submitted):
@@ -315,7 +327,7 @@ class TestHelperThreads:
         signal = default_signals(1)[0]
         serial = serial_stack(monkeypatch, signal, layout)
         pool = InlineExecutor()
-        monkeypatch.setattr(filterbank, "_helper_pool", lambda: (pool, 7))
+        monkeypatch.setattr(filterbank, "_helper_pool", lambda pid: (pool, 7))
         assert hyper_filter(signal, layout).channels.tobytes() == serial
         assert pool.calls == submitted
 
@@ -339,7 +351,7 @@ class TestHelperThreads:
 
         pool = InlineExecutor()
         monkeypatch.setattr(filterbank, "_convolve", counted)
-        monkeypatch.setattr(filterbank, "_helper_pool", lambda: (pool, n_helpers))
+        monkeypatch.setattr(filterbank, "_helper_pool", lambda pid: (pool, n_helpers))
         stack = hyper_filter(signal, layout)
         taps = [m.taps for m in stack.channel_meta]
         # the helpers' shares run at submission, before the caller's own
@@ -352,6 +364,29 @@ class TestHelperThreads:
         loads = [sum(taps[c] for c in share) for share in shares]
         assert max(loads) - min(loads) <= max(taps)
         assert stack.channels.tobytes() == serial
+
+    def test_a_helper_share_error_is_raised_to_the_caller(self, monkeypatch):
+        signal = default_signals(1)[0]
+        layout = HELPER_LAYOUTS[0]
+        bank = filterbank._kernel_bank(layout, signal.fs)
+        # with one helper, the channels are dealt in turn: the second-longest goes to the helper
+        order = sorted(range(len(bank)), key=lambda c: -bank[c][0].taps)
+        failing = bank[order[1]][1].taps
+        raised_on = []
+        convolve = filterbank._convolve
+
+        def failing_convolve(x, taps):
+            if taps is failing:
+                raised_on.append(threading.current_thread())
+                raise FloatingPointError("helper share failed")
+            return convolve(x, taps)
+
+        monkeypatch.setattr(filterbank, "_convolve", failing_convolve)
+        with ThreadPoolExecutor(1) as pool:
+            monkeypatch.setattr(filterbank, "_helper_pool", lambda pid: (pool, 1))
+            with pytest.raises(FloatingPointError, match="helper share failed"):
+                hyper_filter(signal, layout)
+        assert len(raised_on) == 1 and raised_on[0] is not threading.current_thread()
 
     def test_concurrent_callers_get_the_serial_bytes(self, monkeypatch):
         signal = default_signals(1)[0]
@@ -368,6 +403,8 @@ class TestHelperThreads:
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
+        # no helpers yet, so the calling threads race to make them
+        filterbank._helper_pool.cache_clear()
         try:
             # more calling threads than CPUs, each switching layouts, so the
             # one-entry kernel bank changes under the others' feet
@@ -391,7 +428,8 @@ class TestHelperThreads:
         expected = hashlib.sha256(serial_stack(monkeypatch, sig, layout)).hexdigest()
         # once the parent's helpers have run, a child that used them would wait forever
         pool = ThreadPoolExecutor(2)
-        monkeypatch.setattr(filterbank, "_pool", (pool, 2))
+        parent, helper_pool = os.getpid(), filterbank._helper_pool
+        monkeypatch.setattr(filterbank, "_helper_pool", lambda pid: (pool, 2) if pid == parent else helper_pool(pid))
         try:
             hyper_filter(sig, layout)
             read_end, write_end = os.pipe()
