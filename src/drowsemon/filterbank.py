@@ -3,24 +3,28 @@
 The 1-10 Hz band of interest is carved into layered stacks of contiguous
 sub-bands ("hyper-filtering"). Each (layer, band) pair yields one filtered
 channel; a pattern is the cross-channel vector of one time sample. Only
-samples outside the longest kernel's edge margin become patterns.
-``pattern_rows`` returns a signal's patterns as one (rows, channels)
-matrix; ``build_dataset`` writes those of many labeled signals into one
-matrix, allocated up front, for the classifiers and the band-search
-reward. ``pattern_signals`` gives the rows of one signal as
-``PatternSignal`` objects carrying its label.
+samples outside the longest kernel's edge margin become patterns, and
+``hyper_filter`` computes only those: each channel's kept samples are one
+"valid" ``np.convolve`` over the part of the signal they read, bitwise the
+same samples of the full-length convolution. ``pattern_rows`` returns a
+signal's patterns as one (rows, channels) matrix; ``build_dataset`` writes
+those of many labeled signals into one matrix, allocated up front, for the
+classifiers and the band-search reward. ``pattern_signals`` gives the rows
+of one signal as ``PatternSignal`` objects carrying its label. A stack's
+full-length, zero-padded channels are computed only when
+``FilteredStack.channels`` is first read, as ``filter``'s ``stack.csv`` does.
 ``_kernel_bank`` designs the latest (layout, fs) pair's kernels once, with
 read-only taps shared by every signal; ``apply_filter`` computes only the
 input-length part of each convolution, bitwise equal to the full one sliced.
 
 ``hyper_filter`` spreads a signal's channels over helper threads, one fewer
 than the CPUs the process may run on and never more than the channels less
-one; the calling thread convolves its own share. The channels are dealt
+one; the calling thread filters its own share. The channels are dealt
 to the shares in turn, longest kernel first, so no share's taps exceed
 another's by more than one kernel. ``np.convolve`` releases the
 interpreter lock, so the helpers run in parallel. Each channel is still
-one ``np.convolve`` of the same operands, stacked in channel order, so the
-stack is bitwise the same on any CPU count; on one CPU no helper exists.
+one ``np.convolve`` of the same operands into its own column, so the
+rows are bitwise the same on any CPU count; on one CPU no helper exists.
 The helpers are made once per process, on first use. The pool is keyed by
 pid, so a forked child makes its own rather than wait on its parent's,
 whose threads do not survive a fork.
@@ -119,12 +123,23 @@ class FilteredStack:
 
     ``channels`` has shape (n_channels, n_samples); channel order is layer
     index then ascending band frequency, matching ``channel_meta``.
+
+    A stack built from explicit channels holds them. A stack from
+    ``hyper_filter`` holds its signal's samples, its kernels and the kept
+    pattern rows; its ``channels`` are computed from the samples and
+    kernels when first read, and kept. ``n_channels``, ``n_samples`` and
+    ``default_margin`` never compute them.
     """
 
     channels: np.ndarray
     channel_meta: list[ChannelMeta]
     fs: float
     label: Label | None = None
+
+    # set only on a stack from hyper_filter (see _of_kept_rows)
+    _samples = None
+    _bank = ()
+    _rows = None
 
     def __post_init__(self) -> None:
         self.channels = np.asarray(self.channels, dtype=np.float64)
@@ -133,13 +148,28 @@ class FilteredStack:
         if self.channels.shape[0] != len(self.channel_meta):
             raise ValueError("channel_meta must describe every channel")
 
+    @classmethod
+    def _of_kept_rows(cls, signal: PpgSignal, bank, rows: np.ndarray) -> "FilteredStack":
+        stack = cls.__new__(cls)
+        stack.channel_meta = [m for m, _ in bank]
+        stack.fs, stack.label = signal.fs, signal.label
+        stack._samples, stack._bank, stack._rows = signal.samples, bank, rows
+        return stack
+
+    def __getattr__(self, name: str):
+        # only for attributes never set: a hyper_filter stack's channels, until first read
+        if name != "channels" or self._samples is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.channels = np.array([_convolve(self._samples, k.taps) for _, k in self._bank])
+        return self.channels
+
     @property
     def n_channels(self) -> int:
-        return self.channels.shape[0]
+        return len(self.channel_meta)
 
     @property
     def n_samples(self) -> int:
-        return self.channels.shape[1]
+        return self.channels.shape[1] if self._samples is None else self._samples.size
 
     @property
     def default_margin(self) -> int:
@@ -160,6 +190,13 @@ class PatternSignal:
             raise ValueError("pattern values must be 1-D")
         if not np.isfinite(self.values).all():
             raise ValueError("pattern values must be finite")
+
+    @classmethod
+    def _of_checked_row(cls, values: np.ndarray, label: Label | None) -> "PatternSignal":
+        """A pattern of a float64 row the caller has already checked 1-D and finite."""
+        pattern = cls.__new__(cls)
+        pattern.values, pattern.label = values, label
+        return pattern
 
 
 @dataclass(eq=False)
@@ -315,17 +352,27 @@ def _helper_pool(pid: int):
     return ThreadPoolExecutor(n, thread_name_prefix="drowsemon-convolve"), n
 
 
-def _convolve_share(out: np.ndarray, x: np.ndarray, bank, share: list[int]) -> None:
+def _kept_samples(x: np.ndarray, taps: np.ndarray, margin: int) -> np.ndarray:
+    """Samples ``margin`` to ``x.size - margin - 1`` of ``_convolve(x, taps)``,
+    bitwise, from only the part of ``x`` they read."""
+    mid = (taps.size - 1) // 2
+    return np.convolve(x[margin - mid : x.size - margin + mid], taps, "valid")
+
+
+def _filter_share(rows: np.ndarray, x: np.ndarray, bank, margin: int, share: list[int]) -> None:
     for c in share:
-        out[c] = _convolve(x, bank[c][1].taps)
+        rows[:, c] = _kept_samples(x, bank[c][1].taps, margin)
 
 
 def hyper_filter(signal: PpgSignal, config: HyperFilterConfig) -> FilteredStack:
     """Filter one signal through every (layer, sub-band) kernel.
 
-    Channels are ordered by layer index then ascending band frequency; the
-    label is propagated. Raises SignalTooShortError when the signal cannot
-    absorb the longest kernel.
+    Only the samples ``pattern_rows`` keeps are computed here, one
+    (rows, channels) matrix on the helper threads; the full-length
+    ``channels`` are computed when first read. Channels are ordered by
+    layer index then ascending band frequency; the label is propagated.
+    Raises SignalTooShortError when the signal cannot absorb the longest
+    kernel.
     """
     x = signal.samples
     max_taps = _max_taps(config, signal.fs)
@@ -339,12 +386,13 @@ def hyper_filter(signal: PpgSignal, config: HyperFilterConfig) -> FilteredStack:
     n_shares = 1 + min(n_helpers, len(bank) - 1)
     order = sorted(range(len(bank)), key=lambda c: -bank[c][0].taps)
     mine, *theirs = (order[i::n_shares] for i in range(n_shares))
-    channels = np.empty((len(bank), x.size))
-    futures = [pool.submit(_convolve_share, channels, x, bank, share) for share in theirs]
-    _convolve_share(channels, x, bank, mine)
+    margin = (max_taps - 1) // 2
+    rows = np.empty((x.size - 2 * margin, len(bank)))
+    futures = [pool.submit(_filter_share, rows, x, bank, margin, share) for share in theirs]
+    _filter_share(rows, x, bank, margin, mine)
     for f in futures:
         f.result()
-    return FilteredStack(channels, [m for m, _ in bank], fs=signal.fs, label=signal.label)
+    return FilteredStack._of_kept_rows(signal, bank, rows)
 
 
 def pattern_rows(stack: FilteredStack) -> np.ndarray:
@@ -354,7 +402,12 @@ def pattern_rows(stack: FilteredStack) -> np.ndarray:
     reads channel c at ``stack.channels[c][default_margin + k]``. The matrix
     is C-contiguous: a reduction over its rows, such as the Fisher score's
     class means, rounds differently on a transposed view of the channels.
+    A stack from ``hyper_filter`` returns the matrix it holds, not a copy,
+    and never computes its full-length channels; a stack built from
+    explicit channels returns a new matrix sliced from them.
     """
+    if stack._rows is not None:
+        return stack._rows
     margin = stack.default_margin
     n = stack.n_samples
     if n <= 2 * margin:
@@ -365,8 +418,14 @@ def pattern_rows(stack: FilteredStack) -> np.ndarray:
 
 
 def pattern_signals(stack: FilteredStack) -> list[PatternSignal]:
-    """The rows of ``pattern_rows`` as patterns carrying the stack's label."""
-    return [PatternSignal(row, label=stack.label) for row in pattern_rows(stack)]
+    """The rows of ``pattern_rows`` as patterns carrying the stack's label.
+
+    The rows are checked finite once, as one matrix, with
+    ``PatternSignal``'s message."""
+    rows = pattern_rows(stack)
+    if not np.isfinite(rows).all():
+        raise ValueError("pattern values must be finite")
+    return [PatternSignal._of_checked_row(row, stack.label) for row in rows]
 
 
 def build_dataset(
@@ -377,7 +436,8 @@ def build_dataset(
     Each signal's kept rows are counted before any filtering, by the margin
     rule of ``FilteredStack.default_margin``, so the rows are written into
     one matrix allocated up front: besides the output, only one signal's
-    stack and pattern matrix are held at a time.
+    kept-rows stack is held at a time. No full-length channel is computed;
+    at a stride above 1, the rows between the kept ones are still filtered.
     """
     if not signals:
         raise ValueError("no signals to build a dataset from (is n_per_class zero?)")

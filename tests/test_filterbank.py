@@ -267,10 +267,10 @@ def default_signals(n_per_class):
     return generate_signals(replace(config, generation=replace(config.generation, n_per_class=n_per_class)))
 
 
-def serial_stack(monkeypatch, signal, layout) -> bytes:
+def serial_rows(monkeypatch, signal, layout) -> bytes:
     with monkeypatch.context() as m:
         m.setattr(filterbank, "_helper_pool", lambda pid: (None, 0))
-        return hyper_filter(signal, layout).channels.tobytes()
+        return pattern_rows(hyper_filter(signal, layout)).tobytes()
 
 
 class InlineExecutor:
@@ -293,12 +293,12 @@ class TestHelperThreads:
     @pytest.mark.parametrize("layout", HELPER_LAYOUTS)
     def test_stack_bytes_equal_with_and_without_helpers(self, monkeypatch, layout):
         signals = default_signals(1)
-        serial = [serial_stack(monkeypatch, s, layout) for s in signals]
-        assert [hyper_filter(s, layout).channels.tobytes() for s in signals] == serial
+        serial = [serial_rows(monkeypatch, s, layout) for s in signals]
+        assert [pattern_rows(hyper_filter(s, layout)).tobytes() for s in signals] == serial
         # three helpers, whatever this machine's CPU count
         with ThreadPoolExecutor(3) as pool:
             monkeypatch.setattr(filterbank, "_helper_pool", lambda pid: (pool, 3))
-            assert [hyper_filter(s, layout).channels.tobytes() for s in signals] == serial
+            assert [pattern_rows(hyper_filter(s, layout)).tobytes() for s in signals] == serial
 
     def test_helpers_are_one_fewer_than_the_usable_cpus(self, monkeypatch):
         for cpus, helpers in [(8, 7), (2, 1), (1, 0)]:
@@ -325,10 +325,10 @@ class TestHelperThreads:
     def test_at_most_one_helper_fewer_than_the_channels(self, monkeypatch, bands_per_layer, submitted):
         layout = HyperFilterConfig(((1.0, 10.0),), bands_per_layer=bands_per_layer)
         signal = default_signals(1)[0]
-        serial = serial_stack(monkeypatch, signal, layout)
+        serial = serial_rows(monkeypatch, signal, layout)
         pool = InlineExecutor()
         monkeypatch.setattr(filterbank, "_helper_pool", lambda pid: (pool, 7))
-        assert hyper_filter(signal, layout).channels.tobytes() == serial
+        assert pattern_rows(hyper_filter(signal, layout)).tobytes() == serial
         assert pool.calls == submitted
 
     # one band per layer, 1.0, 0.6 and 0.8 Hz wide: 661, 1,101 and 827 taps,
@@ -339,18 +339,18 @@ class TestHelperThreads:
     @pytest.mark.parametrize("n_helpers", [1, 2, 3])
     def test_shares_are_dealt_longest_kernel_first(self, monkeypatch, layout, n_helpers):
         signal = default_signals(1)[0]
-        serial = serial_stack(monkeypatch, signal, layout)
+        serial = serial_rows(monkeypatch, signal, layout)
         bank = filterbank._kernel_bank(layout, signal.fs)
         channel_of = {id(kernel.taps): c for c, (_, kernel) in enumerate(bank)}
         convolved = []  # the channel of each convolution, in call order
-        convolve = filterbank._convolve
+        kept_samples = filterbank._kept_samples
 
-        def counted(x, taps):
+        def counted(x, taps, margin):
             convolved.append(channel_of[id(taps)])
-            return convolve(x, taps)
+            return kept_samples(x, taps, margin)
 
         pool = InlineExecutor()
-        monkeypatch.setattr(filterbank, "_convolve", counted)
+        monkeypatch.setattr(filterbank, "_kept_samples", counted)
         monkeypatch.setattr(filterbank, "_helper_pool", lambda pid: (pool, n_helpers))
         stack = hyper_filter(signal, layout)
         taps = [m.taps for m in stack.channel_meta]
@@ -363,7 +363,7 @@ class TestHelperThreads:
         assert max(taps[c] for c in shares[0]) == max(taps)
         loads = [sum(taps[c] for c in share) for share in shares]
         assert max(loads) - min(loads) <= max(taps)
-        assert stack.channels.tobytes() == serial
+        assert pattern_rows(stack).tobytes() == serial
 
     def test_a_helper_share_error_is_raised_to_the_caller(self, monkeypatch):
         signal = default_signals(1)[0]
@@ -373,15 +373,15 @@ class TestHelperThreads:
         order = sorted(range(len(bank)), key=lambda c: -bank[c][0].taps)
         failing = bank[order[1]][1].taps
         raised_on = []
-        convolve = filterbank._convolve
+        kept_samples = filterbank._kept_samples
 
-        def failing_convolve(x, taps):
+        def failing_kept_samples(x, taps, margin):
             if taps is failing:
                 raised_on.append(threading.current_thread())
                 raise FloatingPointError("helper share failed")
-            return convolve(x, taps)
+            return kept_samples(x, taps, margin)
 
-        monkeypatch.setattr(filterbank, "_convolve", failing_convolve)
+        monkeypatch.setattr(filterbank, "_kept_samples", failing_kept_samples)
         with ThreadPoolExecutor(1) as pool:
             monkeypatch.setattr(filterbank, "_helper_pool", lambda pid: (pool, 1))
             with pytest.raises(FloatingPointError, match="helper share failed"):
@@ -390,14 +390,14 @@ class TestHelperThreads:
 
     def test_concurrent_callers_get_the_serial_bytes(self, monkeypatch):
         signal = default_signals(1)[0]
-        serial = [serial_stack(monkeypatch, signal, layout) for layout in HELPER_LAYOUTS]
+        serial = [serial_rows(monkeypatch, signal, layout) for layout in HELPER_LAYOUTS]
         results, errors = [], []
 
         def call(k):
             try:
                 for i in range(3):
                     layout = (k + i) % 2
-                    results.append((layout, hyper_filter(signal, HELPER_LAYOUTS[layout]).channels.tobytes()))
+                    results.append((layout, pattern_rows(hyper_filter(signal, HELPER_LAYOUTS[layout])).tobytes()))
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
 
@@ -425,7 +425,7 @@ class TestHelperThreads:
 
         sig = default_signals(1)[0]
         layout = HELPER_LAYOUTS[0]
-        expected = hashlib.sha256(serial_stack(monkeypatch, sig, layout)).hexdigest()
+        expected = hashlib.sha256(serial_rows(monkeypatch, sig, layout)).hexdigest()
         # once the parent's helpers have run, a child that used them would wait forever
         pool = ThreadPoolExecutor(2)
         parent, helper_pool = os.getpid(), filterbank._helper_pool
@@ -440,7 +440,7 @@ class TestHelperThreads:
             if pid == 0:  # the child: report the digest, never return into pytest
                 try:
                     os.close(read_end)
-                    digest = hashlib.sha256(hyper_filter(sig, layout).channels.tobytes()).hexdigest()
+                    digest = hashlib.sha256(pattern_rows(hyper_filter(sig, layout)).tobytes()).hexdigest()
                     os.write(write_end, digest.encode())
                 finally:
                     os._exit(0)
@@ -456,6 +456,80 @@ class TestHelperThreads:
                 assert child_out.read().decode() == expected
         finally:
             pool.shutdown()
+
+
+# the layouts above and one of three overlapping layers (1,815, 1,817 and 1,039 taps)
+KEPT_LAYOUTS = [*HELPER_LAYOUTS, HyperFilterConfig(((1.0, 5.0), (4.5, 8.5), (2.0, 9.0)))]
+
+
+def full_path_rows(signal, layout) -> np.ndarray:
+    """The kept rows sliced out of the full-length, zero-padded channels."""
+    bank = filterbank._kernel_bank(layout, signal.fs)
+    channels = np.array([apply_filter(kernel, signal).samples for _, kernel in bank])
+    margin, n = (max(m.taps for m, _ in bank) - 1) // 2, signal.samples.size
+    return np.ascontiguousarray(channels[:, margin : n - margin].T)
+
+
+def truncated(signal, n_samples):
+    return PpgSignal(signal.samples[:n_samples], signal.fs, signal.label)
+
+
+# each layout on 2,400- and 2,000-sample signals, where they fit, and on the
+# shortest it accepts, which keeps one row
+KEPT_CASES = [
+    pytest.param(layout, n, id=f"layout{k}-{n}")
+    for k, layout in enumerate(KEPT_LAYOUTS)
+    for n in sorted({2400, 2000, filterbank._max_taps(layout, 100.0)}, reverse=True)
+    if n >= filterbank._max_taps(layout, 100.0)
+]
+
+
+class TestKeptRows:
+    @pytest.mark.parametrize("layout, n_samples", KEPT_CASES)
+    @pytest.mark.parametrize("n_helpers", [0, 1, 3])
+    def test_bitwise_kept_rows_equal_the_full_path(self, monkeypatch, layout, n_samples, n_helpers):
+        signal = truncated(default_signals(1)[1], n_samples)
+        expected = full_path_rows(signal, layout)
+        with ThreadPoolExecutor(max(n_helpers, 1)) as pool:
+            monkeypatch.setattr(filterbank, "_helper_pool", lambda pid: (pool if n_helpers else None, n_helpers))
+            rows = pattern_rows(hyper_filter(signal, layout))
+        assert rows.flags.c_contiguous and rows.dtype == np.float64
+        assert rows.shape == expected.shape and rows.shape[0] >= 1
+        assert rows.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("stride", [1, 3, 8])
+    def test_bitwise_build_dataset_equals_the_full_path(self, stride):
+        long = default_signals(1)
+        signals = [long[0], truncated(long[1], 2000), truncated(long[0], 2000), long[1]]
+        bands = default_config().bands
+        rows = [full_path_rows(s, bands)[::stride] for s in signals]
+        dataset = build_dataset(signals, bands, stride)
+        assert dataset.values.tobytes() == np.concatenate(rows).tobytes()
+        labels = [np.full(r.shape[0], LABEL_INDEX[s.label]) for r, s in zip(rows, signals)]
+        assert np.array_equal(dataset.labels, np.concatenate(labels))
+
+    def test_bitwise_full_length_channels_are_computed_only_when_read(self, monkeypatch):
+        signal = default_signals(1)[0]
+        layout = default_config().bands
+        bank = filterbank._kernel_bank(layout, signal.fs)
+        full = np.array([apply_filter(kernel, signal).samples for _, kernel in bank])
+        calls = []
+        convolve = filterbank._convolve
+
+        def counted(x, taps):
+            calls.append(taps.size)
+            return convolve(x, taps)
+
+        monkeypatch.setattr(filterbank, "_convolve", counted)
+        stack = hyper_filter(signal, layout)
+        rows = pattern_rows(stack)
+        assert (stack.n_samples, stack.n_channels, stack.default_margin) == (2400, 33, 807)
+        assert calls == []
+        assert stack.channels.tobytes() == full.tobytes()
+        assert len(calls) == 33
+        # computed once, and the rows are still the full path's
+        assert stack.channels is stack.channels and len(calls) == 33
+        assert pattern_rows(stack).tobytes() == rows.tobytes() == full_path_rows(signal, layout).tobytes()
 
 
 class TestPatternSignal:
@@ -528,6 +602,15 @@ class TestPatternSignals(PatternExtractionCases):
     def test_label_propagates(self):
         stack = synthetic_stack(n_samples=120)
         assert all(p.label is Label.WAKEFUL for p in pattern_signals(stack))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rows_refused_and_margins_ignored(self, bad):
+        stack = synthetic_stack(n_channels=3, n_samples=200, taps=21)
+        stack.channels[1, 5] = bad  # inside the 10-sample margin: never a pattern
+        assert len(pattern_signals(stack)) == 180
+        stack.channels[2, 150] = bad
+        with pytest.raises(ValueError, match="^pattern values must be finite$"):
+            pattern_signals(stack)
 
 
 class TestPatternRows(PatternExtractionCases):
