@@ -9,10 +9,14 @@ samples outside the longest kernel's edge margin become patterns, and
 same samples of the full-length convolution. ``pattern_rows`` returns a
 signal's patterns as one (rows, channels) matrix; ``build_dataset`` writes
 those of many labeled signals into one matrix, allocated up front, for the
-classifiers and the band-search reward. ``pattern_signals`` gives the rows
-of one signal as ``PatternSignal`` objects carrying its label. A stack's
-full-length, zero-padded channels are computed only when
-``FilteredStack.channels`` is first read, as ``filter``'s ``stack.csv`` does.
+classifiers and the band-search reward. At stride 1 it takes every signal's
+rows from ``hyper_filter``, on the helper threads below; at a stride above 1
+it computes only every stride-th row, serially, each sample one
+``np.vecdot`` of a window of the signal with the reversed taps, bitwise the
+same sample. ``pattern_signals`` gives the rows of one signal as
+``PatternSignal`` objects carrying its label. A stack's full-length,
+zero-padded channels are computed only when ``FilteredStack.channels`` is
+first read, as ``filter``'s ``stack.csv`` does.
 ``_kernel_bank`` designs the latest (layout, fs) pair's kernels once, with
 read-only taps shared by every signal; ``apply_filter`` computes only the
 input-length part of each convolution, bitwise equal to the full one sliced.
@@ -39,6 +43,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .signal_gen import INDEX_LABEL, LABEL_INDEX, Label, PpgSignal
 
@@ -319,6 +324,7 @@ def _sub_bands(config: HyperFilterConfig):
             yield layer_idx, band_idx, lo, hi, min(_MAX_TRANSITION_HZ, (hi - lo) / 2)
 
 
+@functools.lru_cache(maxsize=1)
 def _max_taps(config: HyperFilterConfig, fs: float) -> int:
     """Tap count of the layout's longest kernel at ``fs``, by the tap rule
     alone: no kernel is designed."""
@@ -352,6 +358,19 @@ def _helper_pool(pid: int):
     return ThreadPoolExecutor(n, thread_name_prefix="drowsemon-convolve"), n
 
 
+def _margin(signal: PpgSignal, config: HyperFilterConfig) -> int:
+    """The layout's edge margin at the signal's rate, the ``default_margin``
+    of its stack. Raises SignalTooShortError when the signal cannot absorb
+    the longest kernel; no kernel is designed."""
+    max_taps = _max_taps(config, signal.fs)
+    if signal.samples.size < max_taps:
+        raise SignalTooShortError(
+            f"hyper-filtering this band layout needs at least {max_taps} samples, "
+            f"got {signal.samples.size}"
+        )
+    return (max_taps - 1) // 2
+
+
 def _kept_samples(x: np.ndarray, taps: np.ndarray, margin: int) -> np.ndarray:
     """Samples ``margin`` to ``x.size - margin - 1`` of ``_convolve(x, taps)``,
     bitwise, from only the part of ``x`` they read."""
@@ -375,18 +394,12 @@ def hyper_filter(signal: PpgSignal, config: HyperFilterConfig) -> FilteredStack:
     kernel.
     """
     x = signal.samples
-    max_taps = _max_taps(config, signal.fs)
-    if x.size < max_taps:
-        raise SignalTooShortError(
-            f"hyper-filtering this band layout needs at least {max_taps} samples, "
-            f"got {x.size}"
-        )
+    margin = _margin(signal, config)
     bank = _kernel_bank(config, signal.fs)
     pool, n_helpers = _helper_pool(os.getpid())
     n_shares = 1 + min(n_helpers, len(bank) - 1)
     order = sorted(range(len(bank)), key=lambda c: -bank[c][0].taps)
     mine, *theirs = (order[i::n_shares] for i in range(n_shares))
-    margin = (max_taps - 1) // 2
     rows = np.empty((x.size - 2 * margin, len(bank)))
     futures = [pool.submit(_filter_share, rows, x, bank, margin, share) for share in theirs]
     _filter_share(rows, x, bank, margin, mine)
@@ -428,6 +441,27 @@ def pattern_signals(stack: FilteredStack) -> list[PatternSignal]:
     return [PatternSignal._of_checked_row(row, stack.label) for row in rows]
 
 
+def _strided_rows(out: np.ndarray, signal: PpgSignal, config: HyperFilterConfig, stride: int) -> None:
+    """Write every ``stride``-th row of ``pattern_rows(hyper_filter(signal,
+    config))`` into ``out``, bitwise, computing only those rows, serially.
+
+    Each kept sample of a channel is one ``np.vecdot`` of the window of the
+    signal it reads with the kernel's reversed taps, bitwise the sample
+    ``np.convolve`` gives. The reversed taps are a copy: a negative-stride
+    view of them rounds differently. The windows are one ``stride``-stepped
+    view of the signal per distinct tap count, shared by that count's
+    channels. Raises SignalTooShortError as ``hyper_filter`` does.
+    """
+    x = signal.samples
+    margin = _margin(signal, config)
+    windows = {}
+    for c, (meta, kernel) in enumerate(_kernel_bank(config, signal.fs)):
+        if meta.taps not in windows:
+            mid = (meta.taps - 1) // 2
+            windows[meta.taps] = sliding_window_view(x, meta.taps)[margin - mid : x.size - margin - mid : stride]
+        np.vecdot(windows[meta.taps], kernel.taps[::-1].copy(), out=out[:, c])
+
+
 def build_dataset(
     signals: list[PpgSignal], bands: HyperFilterConfig, stride: int
 ) -> PatternDataset:
@@ -435,16 +469,18 @@ def build_dataset(
 
     Each signal's kept rows are counted before any filtering, by the margin
     rule of ``FilteredStack.default_margin``, so the rows are written into
-    one matrix allocated up front: besides the output, only one signal's
-    kept-rows stack is held at a time. No full-length channel is computed;
-    at a stride above 1, the rows between the kept ones are still filtered.
+    one matrix allocated up front. At stride 1, each signal's rows come
+    from ``hyper_filter`` on the helper threads, so besides the output only
+    one signal's kept-rows stack is held at a time. At a stride above 1,
+    only the rows kept are computed, serially, straight into the output.
+    No full-length channel is computed.
     """
     if not signals:
         raise ValueError("no signals to build a dataset from (is n_per_class zero?)")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     # the samples pattern_rows keeps; a signal too short for the layout keeps
-    # none here, and hyper_filter refuses it below, in signal order
+    # none here, and _margin refuses it below, in signal order
     counts = []
     for sig in signals:
         margin = (_max_taps(bands, sig.fs) - 1) // 2
@@ -455,7 +491,10 @@ def build_dataset(
     for i, (sig, count) in enumerate(zip(signals, counts)):
         if sig.label is None:
             raise ValueError(f"signal {i} is unlabeled: every signal needs a class label")
-        values[start : start + count] = pattern_rows(hyper_filter(sig, bands))[::stride]
+        if stride == 1:
+            values[start : start + count] = pattern_rows(hyper_filter(sig, bands))
+        else:
+            _strided_rows(values[start : start + count], sig, bands, stride)
         labels[start : start + count] = LABEL_INDEX[sig.label]
         start += count
     return PatternDataset(values, labels)

@@ -233,12 +233,21 @@ class TestKernelBank:
             return design(*args)
 
         monkeypatch.setattr(filterbank, "design_bandpass", counted)
-        filterbank._kernel_bank.cache_clear()
-        try:
-            build_dataset(signals, config.bands, 1)
-        finally:
+        for stride in (1, 8):
+            calls.clear()
             filterbank._kernel_bank.cache_clear()
-        assert len(signals) == 4 and len(calls) == 33
+            try:
+                build_dataset(signals, config.bands, stride)
+            finally:
+                filterbank._kernel_bank.cache_clear()
+            assert len(signals) == 4 and len(calls) == 33
+
+    def test_longest_kernel_is_derived_once_per_layout(self):
+        signals = default_signals(2)
+        filterbank._max_taps.cache_clear()
+        for stride in (1, 8):
+            build_dataset(signals, default_config().bands, stride)
+        assert filterbank._max_taps.cache_info().misses == 1
 
     def test_cached_taps_are_read_only(self):
         bank = filterbank._kernel_bank(default_config().bands, 100.0)
@@ -508,6 +517,42 @@ class TestKeptRows:
         labels = [np.full(r.shape[0], LABEL_INDEX[s.label]) for r, s in zip(rows, signals)]
         assert np.array_equal(dataset.labels, np.concatenate(labels))
 
+    @pytest.mark.parametrize("layout, n_samples", KEPT_CASES)
+    @pytest.mark.parametrize("stride", [2, 3, 8, 1000])
+    @pytest.mark.parametrize("n_helpers", [0, 1])
+    def test_bitwise_strided_build_dataset_equals_the_kept_rows(
+        self, monkeypatch, layout, n_samples, stride, n_helpers
+    ):
+        # a stride of 1,000 keeps only the first of at most 786 rows
+        long = default_signals(1)
+        signals = [truncated(long[1], n_samples), long[0], truncated(long[0], n_samples)]
+        with ThreadPoolExecutor(1) as pool:
+            monkeypatch.setattr(filterbank, "_helper_pool", lambda pid: (pool if n_helpers else None, n_helpers))
+            rows = [pattern_rows(hyper_filter(s, layout))[::stride] for s in signals]
+            dataset = build_dataset(signals, layout, stride)
+        assert stride < 1000 or [r.shape[0] for r in rows] == [1, 1, 1]
+        assert dataset.values.tobytes() == np.concatenate(rows).tobytes()
+        labels = [np.full(r.shape[0], LABEL_INDEX[s.label]) for r, s in zip(rows, signals)]
+        assert np.array_equal(dataset.labels, np.concatenate(labels))
+
+    def test_only_stride_one_filters_every_kept_row_on_the_helpers(self, monkeypatch):
+        signals = default_signals(1)
+        bands = default_config().bands
+        calls = []
+        kept_samples = filterbank._kept_samples
+
+        def counted(x, taps, margin):
+            calls.append(taps.size)
+            return kept_samples(x, taps, margin)
+
+        pool = InlineExecutor()
+        monkeypatch.setattr(filterbank, "_kept_samples", counted)
+        monkeypatch.setattr(filterbank, "_helper_pool", lambda pid: (pool, 1))
+        build_dataset(signals, bands, 8)
+        assert calls == [] and pool.calls == 0
+        build_dataset(signals, bands, 1)
+        assert len(calls) == 33 * len(signals) and pool.calls == len(signals)
+
     def test_bitwise_full_length_channels_are_computed_only_when_read(self, monkeypatch):
         signal = default_signals(1)[0]
         layout = default_config().bands
@@ -685,11 +730,15 @@ class TestBuildDataset:
         bands = HyperFilterConfig(((1.0, 10.0),), bands_per_layer=3)  # 661 taps at 100 Hz
         too_short = PpgSignal(np.ones(600), 100.0, Label.DROWSY)
         unlabeled = PpgSignal(np.ones(800), 100.0, None)
-        with pytest.raises(SignalTooShortError):
-            build_dataset([too_short, unlabeled], bands, 1)
-        with pytest.raises(ValueError) as info:
-            build_dataset([unlabeled, too_short], bands, 1)
-        assert str(info.value) == "signal 0 is unlabeled: every signal needs a class label"
+        with pytest.raises(SignalTooShortError) as refused:
+            hyper_filter(too_short, bands)
+        for stride in (1, 8):
+            with pytest.raises(SignalTooShortError) as info:
+                build_dataset([too_short, unlabeled], bands, stride)
+            assert str(info.value) == str(refused.value)
+            with pytest.raises(ValueError) as info:
+                build_dataset([unlabeled, too_short], bands, stride)
+            assert str(info.value) == "signal 0 is unlabeled: every signal needs a class label"
 
     @pytest.mark.parametrize("stride", [-1, 0])
     def test_stride_below_one_refused_before_filtering(self, stride):
