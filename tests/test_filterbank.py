@@ -712,6 +712,34 @@ class TestBuildDataset:
         assert dataset.values.shape == (32 * 786, 33)
         assert peak < 1.3 * dataset.values.nbytes
 
+    def test_stride_one_holds_no_rows_beside_its_output(self, monkeypatch):
+        # one signal's 786 x 33 rows held beside the output break the bound; three
+        # helpers, whatever this machine's CPU count, fix the convolution temporaries
+        signals = default_signals(16)
+        bands = default_config().bands
+        with ThreadPoolExecutor(3) as pool:
+            monkeypatch.setattr(filterbank, "_helper_pool", lambda pid: (pool, 3))
+            build_dataset(signals[:1], bands, 1)  # designs the kernels, starts the helpers
+            tracemalloc.start()
+            try:
+                dataset = build_dataset(signals, bands, 1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert dataset.values.shape == (32 * 786, 33)
+        assert peak < dataset.values.nbytes + dataset.labels.nbytes + 786 * 33 * 8
+
+    @pytest.mark.parametrize("stride", [1, 3, 8])
+    def test_bitwise_strided_and_reversed_views_give_the_contiguous_rows(self, stride):
+        signals = default_signals(2)
+        bands = default_config().bands
+        expected = build_dataset(signals, bands, stride).values.tobytes()
+        strided = [PpgSignal(np.repeat(s.samples, 2)[::2], s.fs, s.label) for s in signals]
+        reversed_ = [PpgSignal(s.samples[::-1].copy()[::-1], s.fs, s.label) for s in signals]
+        for views in (strided, reversed_):
+            assert not any(v.samples.flags.c_contiguous for v in views)
+            assert build_dataset(views, bands, stride).values.tobytes() == expected
+
     @pytest.mark.parametrize("stride", [1, 3, 8])
     def test_bitwise_the_concatenated_rows_of_each_signal(self, stride):
         # signals of 2,400 and 2,000 samples keep 786 and 386 rows each
