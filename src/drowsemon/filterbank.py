@@ -16,9 +16,10 @@ faster on its side (2 vCPUs, 40 layouts): at stride 1 a per-layout reward
 took a median 17% longer with ``np.vecdot`` on the helpers, and 57-72%
 longer with either kernel serially while the second CPU was idle; at stride
 8, ``np.convolve``, which cannot skip outputs, filtered the 32 default
-signals in 0.13 s against 0.018 s. ``pattern_rows`` returns a signal's
-patterns as one (rows, channels) matrix, and ``pattern_signals`` as
-patterns. A stack's full-length, zero-padded channels are computed only
+signals in 0.13 s against 0.018 s. ``hyper_filter``'s ``FilteredStack``
+holds the signal, its kernel bank and its kept rows; ``pattern_rows``
+returns those rows as one (rows, channels) matrix, and ``pattern_signals``
+as patterns. A stack's full-length, zero-padded channels are computed only
 when ``FilteredStack.channels`` is first read, as ``filter``'s
 ``stack.csv`` does. ``_kernel_bank`` designs the latest (layout, fs) pair's
 kernels once, with read-only taps shared by every signal.
@@ -124,62 +125,48 @@ class ChannelMeta:
 
 @dataclass(eq=False)
 class FilteredStack:
-    """All hyper-filtered channels of one signal, channel-major.
+    """What ``hyper_filter`` computed for one signal: the signal, its
+    (metadata, kernel) bank and the kept pattern ``rows``.
 
-    ``channels`` has shape (n_channels, n_samples); channel order is layer
-    index then ascending band frequency, matching ``channel_meta``.
-
-    A stack built from explicit channels holds them. A stack from
-    ``hyper_filter`` holds its signal's samples, its kernels and the kept
-    pattern rows; its ``channels`` are computed from the samples and
-    kernels when first read, and kept. ``n_channels``, ``n_samples`` and
-    ``default_margin`` never compute them.
+    Channel order is layer index then ascending band frequency, in the bank,
+    in ``channel_meta`` and in the columns of ``rows``. The full-length,
+    zero-padded ``channels``, shape (n_channels, n_samples), are computed
+    from the samples and kernels when first read, and kept; no other
+    attribute computes them.
     """
 
-    channels: np.ndarray
-    channel_meta: list[ChannelMeta]
-    fs: float
-    label: Label | None = None
+    signal: PpgSignal
+    bank: tuple[tuple[ChannelMeta, FilterKernel], ...]
+    rows: np.ndarray
 
-    # set only on a stack from hyper_filter (see _of_kept_rows)
-    _samples = None
-    _bank = ()
-    _rows = None
+    @functools.cached_property
+    def channels(self) -> np.ndarray:
+        return np.array([_convolve(self.signal.samples, k.taps) for _, k in self.bank])
 
-    def __post_init__(self) -> None:
-        self.channels = np.asarray(self.channels, dtype=np.float64)
-        if self.channels.ndim != 2:
-            raise ValueError("channels must be a 2-D (n_channels, n_samples) array")
-        if self.channels.shape[0] != len(self.channel_meta):
-            raise ValueError("channel_meta must describe every channel")
+    @property
+    def channel_meta(self) -> list[ChannelMeta]:
+        return [m for m, _ in self.bank]
 
-    @classmethod
-    def _of_kept_rows(cls, signal: PpgSignal, bank, rows: np.ndarray) -> "FilteredStack":
-        stack = cls.__new__(cls)
-        stack.channel_meta = [m for m, _ in bank]
-        stack.fs, stack.label = signal.fs, signal.label
-        stack._samples, stack._bank, stack._rows = signal.samples, bank, rows
-        return stack
+    @property
+    def fs(self) -> float:
+        return self.signal.fs
 
-    def __getattr__(self, name: str):
-        # only for attributes never set: a hyper_filter stack's channels, until first read
-        if name != "channels" or self._samples is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.channels = np.array([_convolve(self._samples, k.taps) for _, k in self._bank])
-        return self.channels
+    @property
+    def label(self) -> Label | None:
+        return self.signal.label
 
     @property
     def n_channels(self) -> int:
-        return len(self.channel_meta)
+        return len(self.bank)
 
     @property
     def n_samples(self) -> int:
-        return self.channels.shape[1] if self._samples is None else self._samples.size
+        return self.signal.samples.size
 
     @property
     def default_margin(self) -> int:
         """Edge samples corrupted by the longest kernel's group delay."""
-        return (max(m.taps for m in self.channel_meta) - 1) // 2
+        return (max(m.taps for m, _ in self.bank) - 1) // 2
 
 
 @dataclass(eq=False)
@@ -422,7 +409,7 @@ def hyper_filter(signal: PpgSignal, config: HyperFilterConfig) -> FilteredStack:
     bank = _kernel_bank(config, signal.fs)
     rows = np.empty((signal.samples.size - 2 * margin, len(bank)))
     _kept_rows(rows, signal, config, 1)
-    return FilteredStack._of_kept_rows(signal, bank, rows)
+    return FilteredStack(signal, bank, rows)
 
 
 def pattern_rows(stack: FilteredStack) -> np.ndarray:
@@ -430,21 +417,12 @@ def pattern_rows(stack: FilteredStack) -> np.ndarray:
 
     The stack's ``default_margin`` samples are dropped from each end; row k
     reads channel c at ``stack.channels[c][default_margin + k]``. The matrix
-    is C-contiguous: a reduction over its rows, such as the Fisher score's
-    class means, rounds differently on a transposed view of the channels.
-    A stack from ``hyper_filter`` returns the matrix it holds, not a copy,
-    and never computes its full-length channels; a stack built from
-    explicit channels returns a new matrix sliced from them.
+    is the one the stack holds, not a copy, and is C-contiguous: a reduction
+    over its rows, such as the Fisher score's class means, rounds differently
+    on a transposed view of the channels. The full-length channels are never
+    computed.
     """
-    if stack._rows is not None:
-        return stack._rows
-    margin = stack.default_margin
-    n = stack.n_samples
-    if n <= 2 * margin:
-        raise ValueError(
-            f"stack length {n} leaves no samples inside a margin of {margin}"
-        )
-    return np.ascontiguousarray(stack.channels[:, margin : n - margin].T)
+    return stack.rows
 
 
 def pattern_signals(stack: FilteredStack) -> list[PatternSignal]:

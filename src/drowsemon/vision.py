@@ -94,17 +94,12 @@ def _check_feature_map(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def cc_attention(
-    x: np.ndarray, weights: RccaWeights, return_weights: bool = False
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+def cc_attention(x: np.ndarray, weights: RccaWeights) -> np.ndarray:
     """One criss-cross attention pass over an (H, W, C) feature map.
 
     Each pixel attends to the H + W - 1 positions in its row and column
     (itself counted once); softmax-weighted value vectors are scaled by
-    gamma and added back onto the input. With ``return_weights`` the
-    (H, W, W + H) attention tensor is returned too; its first W entries are
-    the row positions and the rest the column positions, with the duplicate
-    center slot forced to zero.
+    gamma and added back onto the input.
     """
     x = _check_feature_map(x)
     h, w, c = x.shape
@@ -129,10 +124,7 @@ def cc_attention(
 
     context = np.einsum("hwj,hjc->hwc", attn[:, :, :w], v)
     context += np.einsum("hwi,iwc->hwc", attn[:, :, w:], v)
-    out = weights.gamma * context + x
-    if return_weights:
-        return out, attn
-    return out
+    return weights.gamma * context + x
 
 
 def rcca(x: np.ndarray, weights: RccaWeights, steps: int = 2) -> np.ndarray:

@@ -7,12 +7,11 @@ import pytest
 
 import drowsemon
 from drowsemon.filterbank import (
-    ChannelMeta,
-    FilteredStack,
     FilterKernel,
     HyperFilterConfig,
     PatternDataset,
     PatternSignal,
+    hyper_filter,
 )
 from drowsemon.pipeline import DEFAULT_LAYERS
 from drowsemon.signal_gen import Label, PpgSignal
@@ -30,7 +29,9 @@ TINY_ARCH = ArchSpec(n_blocks=2, kernel_size=3, channels=4, dilation_schedule=(2
 ARRAY_TYPES = {
     "PpgSignal": lambda: PpgSignal(np.arange(5.0), 100.0, Label.DROWSY),
     "FilterKernel": lambda: FilterKernel(np.ones(3)),
-    "FilteredStack": lambda: FilteredStack(np.zeros((1, 4)), [ChannelMeta(0, 0, 1.0, 2.0, 3)], 100.0),
+    "FilteredStack": lambda: hyper_filter(
+        PpgSignal(np.sin(np.arange(700.0)), 100.0, Label.DROWSY), HyperFilterConfig(((1.0, 10.0),), bands_per_layer=1)
+    ),
     "PatternSignal": lambda: PatternSignal(np.ones(3), Label.WAKEFUL),
     "PatternDataset": lambda: PatternDataset(np.zeros((2, 3)), np.array([0, 1])),
     "BlockWeights": lambda: init_model(TINY_ARCH, seed=1).blocks[0],

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from drowsemon import filterbank
 from drowsemon.filterbank import (
-    ChannelMeta,
     FilteredStack,
     FilterKernel,
     HyperFilterConfig,
@@ -203,6 +202,16 @@ class TestHyperFilter:
         sig = PpgSignal(sine(2.0, seconds=10.0).samples, fs=100.0, label=Label.DROWSY)
         stack = hyper_filter(sig, HyperFilterConfig(((1.0, 10.0),), bands_per_layer=1))
         assert stack.label is Label.DROWSY
+
+    def test_stack_holds_its_signal_bank_and_rows(self):
+        signal = PpgSignal(sine(2.0, seconds=24.0).samples, fs=100.0, label=Label.WAKEFUL)
+        layout = HyperFilterConfig(((1.0, 10.0), (2.0, 6.0)), bands_per_layer=4)
+        stack = hyper_filter(signal, layout)
+        assert isinstance(stack, FilteredStack) and set(vars(stack)) == {"signal", "bank", "rows"}
+        assert stack.signal is signal and stack.bank is filterbank._kernel_bank(layout, 100.0)
+        assert pattern_rows(stack) is stack.rows
+        assert stack.channel_meta == [m for m, _ in stack.bank]
+        assert (stack.fs, stack.label, stack.n_channels, stack.n_samples) == (100.0, Label.WAKEFUL, 8, 2400)
 
     def test_short_signal_error_names_required_length(self):
         sig = sine(2.0, seconds=3.0)
@@ -591,69 +600,59 @@ class TestPatternSignal:
         assert PatternSignal(np.array([])).values.shape == (0,)
 
 
-def synthetic_stack(n_channels=33, n_samples=1000, seed=0, taps=101):
-    rng = np.random.default_rng(seed)
-    meta = [ChannelMeta(0, i, 1.0 + i * 0.1, 1.1 + i * 0.1, taps) for i in range(n_channels)]
-    return FilteredStack(rng.normal(size=(n_channels, n_samples)), meta, fs=100.0, label=Label.WAKEFUL)
-
-
 def stacked_pattern_signals(stack):
     return np.stack([p.values for p in pattern_signals(stack)])
 
 
 class PatternExtractionCases:
-    """Count, indexing and margin cases, run once per extraction path:
-    ``extract`` returns the retained patterns as a (rows, channels) matrix.
-    A stack's margin is set through its longest kernel's tap count."""
+    """Count, indexing and margin cases, run once per extraction path on
+    ``hyper_filter`` stacks of real layouts: ``extract`` returns the retained
+    patterns as a (rows, channels) matrix."""
 
     extract = None
 
-    def test_count_and_length(self):
-        stack = synthetic_stack(n_channels=33, n_samples=1000, taps=701)
-        patterns = self.extract(stack)
-        assert patterns.shape == (300, 33)
+    @pytest.mark.parametrize("n_samples, n_rows", [(2400, 786), (2000, 386), (1615, 1)])
+    def test_count_and_length(self, n_samples, n_rows):
+        # the default layout's longest kernel has 1,615 taps: a margin of 807
+        stack = hyper_filter(truncated(default_signals(1)[0], n_samples), default_config().bands)
+        assert self.extract(stack).shape == (n_rows, 33)
 
-    def test_indexing_identity(self):
-        stack = synthetic_stack(n_channels=7, n_samples=200, seed=3, taps=81)
-        margin = 40
+    @pytest.mark.parametrize("layout, n_samples", KEPT_CASES)
+    def test_bitwise_indexing_identity(self, layout, n_samples):
+        stack = hyper_filter(truncated(default_signals(1)[1], n_samples), layout)
+        # row k reads channel c at channels[c][margin + k]
+        margin = stack.default_margin
+        kept = np.ascontiguousarray(stack.channels[:, margin : n_samples - margin].T)
         patterns = self.extract(stack)
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            j = int(rng.integers(len(patterns)))
-            c = int(rng.integers(7))
-            assert patterns[j][c] == stack.channels[c][margin + j]
+        assert patterns.shape == kept.shape and patterns.tobytes() == kept.tobytes()
 
-    def test_default_margin_is_half_kernel(self):
-        stack = synthetic_stack(n_samples=400, taps=101)
-        patterns = self.extract(stack)
-        assert len(patterns) == 400 - 2 * 50
-
-    def test_margin_too_large_rejected(self):
-        stack = synthetic_stack(n_samples=100, taps=101)
-        with pytest.raises(ValueError, match="margin"):
-            self.extract(stack)
+    @pytest.mark.parametrize("layout", KEPT_LAYOUTS)
+    def test_default_margin_is_half_kernel(self, layout):
+        stack = hyper_filter(default_signals(1)[0], layout)
+        longest = max(
+            design_bandpass(m.f_lo, m.f_hi, 100.0, min(0.5, (m.f_hi - m.f_lo) / 2)).taps.size
+            for m in stack.channel_meta
+        )
+        assert stack.default_margin == (longest - 1) // 2
+        assert len(self.extract(stack)) == 2400 - 2 * stack.default_margin
 
 
 class TestPatternSignals(PatternExtractionCases):
     extract = staticmethod(stacked_pattern_signals)
 
-    def test_constant_channels_give_constant_patterns(self):
-        meta = [ChannelMeta(0, i, 1.0, 2.0, 11) for i in range(4)]
-        channels = np.tile(np.arange(4, dtype=float)[:, None], (1, 50))
-        stack = FilteredStack(channels, meta, fs=100.0)
-        for p in pattern_signals(stack):
-            assert np.array_equal(p.values, np.arange(4, dtype=float))
-
     def test_label_propagates(self):
-        stack = synthetic_stack(n_samples=120)
-        assert all(p.label is Label.WAKEFUL for p in pattern_signals(stack))
+        for signal in default_signals(1):
+            patterns = pattern_signals(hyper_filter(signal, default_config().bands))
+            assert len(patterns) == 786 and signal.label is not None
+            assert all(p.label is signal.label for p in patterns)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_rows_refused_and_margins_ignored(self, bad):
-        stack = synthetic_stack(n_channels=3, n_samples=200, taps=21)
-        stack.channels[1, 5] = bad  # inside the 10-sample margin: never a pattern
-        assert len(pattern_signals(stack)) == 180
-        stack.channels[2, 150] = bad
+    def test_non_finite_rows_refused(self):
+        # finite samples whose filtered sums overflow to both infinities
+        t = np.arange(2400) / 100.0
+        signal = PpgSignal(np.finfo(float).max * np.sign(np.sin(2 * math.pi * 3 * t)), 100.0)
+        stack = hyper_filter(signal, HyperFilterConfig(((1.0, 10.0),), bands_per_layer=1))
+        rows = pattern_rows(stack)
+        assert np.isposinf(rows).any() and np.isneginf(rows).any()
         with pytest.raises(ValueError, match="^pattern values must be finite$"):
             pattern_signals(stack)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -140,7 +139,7 @@ class TestWrittenValueText:
 
     def test_stack_csv(self, tmp_path, signal):
         stack = hyper_filter(signal, HyperFilterConfig(((1.0, 10.0),), bands_per_layer=3))
-        stack = dataclasses.replace(stack, channels=np.tile(self.VALUES, (stack.n_channels, 1)))
+        stack.channels = np.tile(self.VALUES, (stack.n_channels, 1))
         path = tmp_path / "stack.csv"
         save_stack_csv(path, stack)
         rows = path.read_text().splitlines()[1 + stack.n_channels :]

@@ -44,14 +44,22 @@ class TestCcAttention:
         assert np.all(out == 0.0)
 
     def test_attention_weights_form_simplex(self):
+        # with an identity value projection and gamma 1, out - x is the
+        # attention-weighted sum of the pixel's row and column values: weights
+        # that are non-negative and sum to one keep it within those values'
+        # range, and give back a map that is constant per channel
         rng = np.random.default_rng(1)
         x = rng.normal(size=(4, 5, 8))
-        weights = init_rcca_weights(8, seed=2)
-        _, attn = cc_attention(x, weights, return_weights=True)
-        assert attn.shape == (4, 5, 5 + 4)
-        assert np.all(attn >= 0.0)
-        sums = attn.sum(axis=2)
-        assert np.max(np.abs(sums - 1.0)) <= 1e-9
+        init = init_rcca_weights(8, seed=2)
+        weights = RccaWeights(init.w_query, init.w_key, np.eye(8), gamma=1.0)
+        context = cc_attention(x, weights) - x
+        for i in range(4):
+            for j in range(5):
+                seen = np.concatenate([x[i], x[:, j]])
+                assert np.all(context[i, j] >= seen.min(axis=0) - 1e-12)
+                assert np.all(context[i, j] <= seen.max(axis=0) + 1e-12)
+        constant = np.broadcast_to(rng.normal(size=8), (4, 5, 8)).copy()
+        assert np.max(np.abs(cc_attention(constant, weights) - 2 * constant)) <= 1e-9
 
     def test_channel_permutation_symmetry(self):
         rng = np.random.default_rng(3)
