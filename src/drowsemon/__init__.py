@@ -26,7 +26,6 @@ from .filterbank import (
     apply_filter,
     design_bandpass,
     hyper_filter,
-    pattern_rows,
     pattern_signals,
     subband_edges,
 )

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import persist
-from .filterbank import HyperFilterConfig, hyper_filter, pattern_rows
+from .filterbank import HyperFilterConfig, hyper_filter
 from .pipeline import (
     ArtifactWriter,
     PipelineConfig,
@@ -132,7 +132,7 @@ def _cmd_assess(args) -> dict:
     windows = []
     for start in range(0, n - window + 1, window):
         chunk = PpgSignal(signal.samples[start : start + window], signal.fs, signal.label)
-        patterns = pattern_rows(hyper_filter(chunk, bands))
+        patterns = hyper_filter(chunk, bands).rows
         verdict = assess_window(model, patterns)
         windows.append(
             {

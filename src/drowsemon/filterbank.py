@@ -4,25 +4,26 @@ The 1-10 Hz band of interest is carved into layered stacks of contiguous
 sub-bands ("hyper-filtering"). Each (layer, band) pair yields one filtered
 channel; a pattern is the cross-channel vector of one time sample. Only
 samples outside the longest kernel's edge margin become patterns, and one
-routine, ``_kept_rows``, computes them: every stride-th pattern row of one
-signal, and only those, into its caller's matrix. ``hyper_filter`` calls it
-at stride 1; ``build_dataset`` at its stride for each labeled signal, into
-one matrix for the classifiers and the band-search reward. The stride picks
-the kernel: at stride 1, each channel's kept samples are one "valid"
-``np.convolve`` on the helper threads below; above it, each kept sample is
-one serial ``np.vecdot`` of a signal window with the reversed taps. Both
+routine, ``_kept_rows``, computes them: every stride-th row of a kernel bank
+at a margin, both chosen by its caller, and only those, into its caller's
+matrix. ``hyper_filter`` calls it at stride 1; ``build_dataset``, once it
+has checked every signal, at its stride for each one, into one matrix for
+the classifiers and the band-search reward. The stride picks the kernel: at
+stride 1, each channel's kept samples are one "valid" ``np.convolve`` on the
+helper threads below; above it, each kept sample is one serial
+``np.vecdot`` of a signal window with the reversed taps. Both
 give bitwise the samples of the full-length convolution, and each is the
 faster on its side (2 vCPUs, 40 layouts): at stride 1 a per-layout reward
 took a median 17% longer with ``np.vecdot`` on the helpers, and 57-72%
 longer with either kernel serially while the second CPU was idle; at stride
 8, ``np.convolve``, which cannot skip outputs, filtered the 32 default
 signals in 0.13 s against 0.018 s. ``hyper_filter``'s ``FilteredStack``
-holds the signal, its kernel bank and its kept rows; ``pattern_rows``
-returns those rows as one (rows, channels) matrix, and ``pattern_signals``
-as patterns. A stack's full-length, zero-padded channels are computed only
-when ``FilteredStack.channels`` is first read, as ``filter``'s
-``stack.csv`` does. ``_kernel_bank`` designs the latest (layout, fs) pair's
-kernels once, with read-only taps shared by every signal.
+holds the signal, its kernel bank and its kept rows as one (rows, channels)
+matrix, which ``pattern_signals`` returns as patterns. A stack's
+full-length, zero-padded channels are computed only when
+``FilteredStack.channels`` is first read, as ``filter``'s ``stack.csv``
+does. ``_kernel_bank`` designs the latest (layout, fs) pair's kernels
+once, with read-only taps shared by every signal.
 
 The helpers are one fewer than the CPUs the process may run on, and never
 more than the channels less one; the calling thread filters its own share,
@@ -62,7 +63,6 @@ __all__ = [
     "apply_filter",
     "subband_edges",
     "hyper_filter",
-    "pattern_rows",
     "pattern_signals",
     "build_dataset",
 ]
@@ -129,10 +129,13 @@ class FilteredStack:
     (metadata, kernel) bank and the kept pattern ``rows``.
 
     Channel order is layer index then ascending band frequency, in the bank,
-    in ``channel_meta`` and in the columns of ``rows``. The full-length,
-    zero-padded ``channels``, shape (n_channels, n_samples), are computed
-    from the samples and kernels when first read, and kept; no other
-    attribute computes them.
+    in ``channel_meta`` and in the columns of ``rows``. Row k of the (rows,
+    channels) matrix ``rows`` reads channel c at ``channels[c][default_margin
+    + k]``. It is C-contiguous: a reduction over its rows, such as the Fisher
+    score's class means, rounds differently on a transposed view of the
+    channels. The full-length, zero-padded ``channels``, shape (n_channels,
+    n_samples), are computed from the samples and kernels when first read,
+    and kept; no other attribute computes them.
     """
 
     signal: PpgSignal
@@ -346,9 +349,9 @@ def _helper_pool(pid: int):
 
 
 def _margin(signal: PpgSignal, config: HyperFilterConfig) -> int:
-    """The layout's edge margin at the signal's rate, which every row of
-    ``_kept_rows`` clears. Raises SignalTooShortError when the signal cannot
-    absorb the longest kernel; no kernel is designed."""
+    """The layout's edge margin at the signal's rate, at which its callers
+    keep rows. Raises SignalTooShortError when the signal cannot absorb the
+    longest kernel; no kernel is designed."""
     max_taps = _max_taps(config, signal.fs)
     if signal.samples.size < max_taps:
         raise SignalTooShortError(
@@ -370,15 +373,15 @@ def _filter_share(rows: np.ndarray, x: np.ndarray, bank, margin: int, share: lis
         rows[:, c] = _kept_samples(x, bank[c][1].taps, margin)
 
 
-def _kept_rows(out: np.ndarray, signal: PpgSignal, config: HyperFilterConfig, stride: int) -> None:
-    """Write every ``stride``-th row of ``pattern_rows(hyper_filter(signal,
-    config))`` into ``out``, bitwise, computing only those rows with the
-    stride's kernel. ``np.vecdot`` reads one ``stride``-stepped window view
-    per distinct tap count, and rounds differently on a strided or
-    negative-stride operand: hence the contiguous samples and copied taps."""
-    margin = _margin(signal, config)
-    bank = _kernel_bank(config, signal.fs)
-    x = np.ascontiguousarray(signal.samples)
+def _kept_rows(out: np.ndarray, x: np.ndarray, bank, margin: int, stride: int) -> None:
+    """Write samples ``margin``, ``margin + stride``, ... before ``x.size -
+    margin`` of every ``bank`` channel's ``_convolve(x, taps)`` into ``out``,
+    one column per channel, bitwise, computing only those samples with the
+    stride's kernel. ``margin`` must be at least each kernel's half-length.
+    ``np.vecdot`` reads one ``stride``-stepped window view per distinct tap
+    count, and rounds differently on a strided or negative-stride operand:
+    hence the contiguous samples and copied taps."""
+    x = np.ascontiguousarray(x)
     if stride == 1:
         pool, n_helpers = _helper_pool(os.getpid())
         n_shares = 1 + min(n_helpers, len(bank) - 1)
@@ -400,40 +403,26 @@ def _kept_rows(out: np.ndarray, signal: PpgSignal, config: HyperFilterConfig, st
 def hyper_filter(signal: PpgSignal, config: HyperFilterConfig) -> FilteredStack:
     """Filter one signal through every (layer, sub-band) kernel.
 
-    Only the rows ``pattern_rows`` keeps are computed, by ``_kept_rows``;
-    the full-length ``channels`` are computed when first read. Channels are
-    ordered by layer index then ascending band frequency; the label is
-    propagated. Raises SignalTooShortError as ``_margin`` does.
+    Only the kept ``rows`` are computed, by ``_kept_rows`` at the layout's
+    margin; the full-length ``channels`` are computed when first read.
+    Channels are ordered by layer index then ascending band frequency; the
+    label is propagated. Raises SignalTooShortError as ``_margin`` does.
     """
     margin = _margin(signal, config)
     bank = _kernel_bank(config, signal.fs)
     rows = np.empty((signal.samples.size - 2 * margin, len(bank)))
-    _kept_rows(rows, signal, config, 1)
+    _kept_rows(rows, signal.samples, bank, margin, 1)
     return FilteredStack(signal, bank, rows)
 
 
-def pattern_rows(stack: FilteredStack) -> np.ndarray:
-    """Cross-channel patterns of the retained samples as a (rows, channels) matrix.
-
-    The stack's ``default_margin`` samples are dropped from each end; row k
-    reads channel c at ``stack.channels[c][default_margin + k]``. The matrix
-    is the one the stack holds, not a copy, and is C-contiguous: a reduction
-    over its rows, such as the Fisher score's class means, rounds differently
-    on a transposed view of the channels. The full-length channels are never
-    computed.
-    """
-    return stack.rows
-
-
 def pattern_signals(stack: FilteredStack) -> list[PatternSignal]:
-    """The rows of ``pattern_rows`` as patterns carrying the stack's label.
+    """The stack's ``rows`` as patterns carrying the stack's label.
 
     The rows are checked finite once, as one matrix, with
     ``PatternSignal``'s message."""
-    rows = pattern_rows(stack)
-    if not np.isfinite(rows).all():
+    if not np.isfinite(stack.rows).all():
         raise ValueError("pattern values must be finite")
-    return [PatternSignal._of_checked_row(row, stack.label) for row in rows]
+    return [PatternSignal._of_checked_row(row, stack.label) for row in stack.rows]
 
 
 def build_dataset(
@@ -441,28 +430,28 @@ def build_dataset(
 ) -> PatternDataset:
     """Hyper-filter every labeled signal and keep every ``stride``-th pattern row.
 
-    Each signal's kept rows are counted before any filtering, by the margin
-    rule of ``FilteredStack.default_margin``, and ``_kept_rows`` writes them
-    straight into one matrix allocated up front: no other signal-sized
-    matrix is held. No full-length channel is computed.
+    Every signal is checked, in signal order, before any is filtered: its
+    label, its length (``_margin``) and its rate (``_kernel_bank``). Then
+    ``_kept_rows`` writes each signal's rows straight into one matrix
+    allocated up front: no other signal-sized matrix is held. No full-length
+    channel is computed.
     """
     if not signals:
         raise ValueError("no signals to build a dataset from (is n_per_class zero?)")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    # the samples pattern_rows keeps; a signal too short for the layout keeps
-    # none here, and _margin refuses it below, in signal order
-    counts = []
-    for sig in signals:
-        margin = (_max_taps(bands, sig.fs) - 1) // 2
-        counts.append(len(range(margin, sig.samples.size - margin, stride)))
-    values = np.empty((sum(counts), len(bands.layers) * bands.bands_per_layer))
-    labels = np.empty(values.shape[0], dtype=np.int64)
-    start = 0
-    for i, (sig, count) in enumerate(zip(signals, counts)):
+    plans = []
+    for i, sig in enumerate(signals):
         if sig.label is None:
             raise ValueError(f"signal {i} is unlabeled: every signal needs a class label")
-        _kept_rows(values[start : start + count], sig, bands, stride)
-        labels[start : start + count] = LABEL_INDEX[sig.label]
+        margin = _margin(sig, bands)
+        count = len(range(margin, sig.samples.size - margin, stride))
+        plans.append((sig.samples, _kernel_bank(bands, sig.fs), margin, count))
+    counts = [count for *_, count in plans]
+    values = np.empty((sum(counts), len(bands.layers) * bands.bands_per_layer))
+    labels = np.repeat([LABEL_INDEX[sig.label] for sig in signals], counts)
+    start = 0
+    for x, bank, margin, count in plans:
+        _kept_rows(values[start : start + count], x, bank, margin, stride)
         start += count
     return PatternDataset(values, labels)

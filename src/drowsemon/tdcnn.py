@@ -381,7 +381,7 @@ def _forward_batch(model: TdcnnModel, x: np.ndarray, train_mode: bool = False, s
 
 def _pattern_rows(patterns) -> np.ndarray:
     """Stack 1-D pattern vectors into a (rows, time) array: ``PatternSignal``s
-    or the rows of a ``pattern_rows`` matrix."""
+    or a stack's ``rows``."""
     rows = [np.asarray(p.values if isinstance(p, PatternSignal) else p, dtype=np.float64)
             for p in patterns]
     shapes = {r.shape for r in rows}
@@ -573,8 +573,8 @@ def assess(model: TdcnnModel, pattern: PatternSignal) -> Assessment:
 def assess_window(model: TdcnnModel, patterns) -> Assessment:
     """Average the per-pattern scores of a window, then apply the same rule.
 
-    ``patterns`` are ``PatternSignal``s or the rows of a ``pattern_rows``
-    matrix; all of them go through one row-blocked inference call.
+    ``patterns`` are ``PatternSignal``s or a stack's ``rows``; all of them
+    go through one row-blocked inference call.
     """
     if len(patterns) == 0:
         raise ValueError("assess_window needs at least one pattern")

@@ -6,7 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from drowsemon import filterbank
 from drowsemon.band_search import (
+    _FISHER_EPS,
     RlParams,
     SearchSpace,
     SpaceTooLargeError,
@@ -20,7 +22,7 @@ from drowsemon.band_search import (
 from drowsemon.filterbank import HyperFilterConfig, build_dataset, hyper_filter, pattern_signals
 from drowsemon.persist import FormatError
 from drowsemon.pipeline import config_from_dict, default_config, generate_signals
-from drowsemon.signal_gen import Label, PpgSignal
+from drowsemon.signal_gen import INDEX_LABEL, Label, PpgSignal
 
 
 def tone_signals(freq_drowsy=2.0, freq_wakeful=8.0, n_per_class=2, seconds=10.0, fs=100.0):
@@ -182,6 +184,55 @@ class TestReward:
             tracemalloc.stop()
         assert [s.label for s in signals].count(Label.DROWSY) == 16 and len(signals) == 32
         assert peak < 1.5 * 16 * 786 * 33 * 8
+
+
+def layer_ratios(layer, signals, margin):
+    """One layer's per-band Fisher ratios, its class rows filtered with its
+    own kernel bank at ``margin``, in signal order."""
+    bank = filterbank._kernel_bank(layer, signals[0].fs)
+    moments = []
+    for label in INDEX_LABEL:
+        group = [s for s in signals if s.label is label]
+        rows = np.empty((sum(s.samples.size - 2 * margin for s in group), len(bank)))
+        start = 0
+        for s in group:
+            count = s.samples.size - 2 * margin
+            filterbank._kept_rows(rows[start : start + count], s.samples, bank, margin, 1)
+            start += count
+        moments.append(_moments(rows))
+    (mean_a, var_a), (mean_b, var_b) = moments
+    return (mean_a - mean_b) ** 2 / (var_a + var_b + _FISHER_EPS)
+
+
+class TestLayerRatios:
+    @pytest.fixture(scope="class")
+    def signals(self):
+        config = default_config()
+        return generate_signals(replace(config, generation=replace(config.generation, n_per_class=2)))
+
+    @pytest.mark.parametrize("seed", [None, *range(11)])
+    def test_bitwise_reward_is_the_mean_of_its_layers_ratios_at_the_layout_margin(self, signals, seed):
+        """A layout's reward is the mean of its layers' ratios, each layer
+        filtered on its own at the layout's margin: the default layout, whose
+        layers' own margins are 403 and 807, and random layouts of the
+        default space fitted to 24 s signals. Every layer has 11 bands: a
+        one-column class matrix sums its rows pairwise, not in row order, and
+        would round differently from its column of the whole layout's."""
+        config = default_config()
+        if seed is None:
+            layout = config.bands
+            own = {filterbank._margin(signals[0], HyperFilterConfig((layer,))) for layer in layout.layers}
+            assert own == {403, 807}
+        else:
+            space = _fitted(config.search.space(config.bands), signals)
+            layout = space.config_from_indices(space.random_indices(np.random.default_rng(seed)))
+        margin = filterbank._margin(signals[0], layout)
+        ratios = [
+            layer_ratios(HyperFilterConfig((layer,), layout.bands_per_layer), signals, margin)
+            for layer in layout.layers
+        ]
+        assert layout.bands_per_layer >= 2
+        assert np.mean(np.concatenate(ratios)) == reward(layout, signals)
 
 
 class TestNeighbors:

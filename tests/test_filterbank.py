@@ -25,7 +25,6 @@ from drowsemon.filterbank import (
     build_dataset,
     design_bandpass,
     hyper_filter,
-    pattern_rows,
     pattern_signals,
     subband_edges,
 )
@@ -209,7 +208,6 @@ class TestHyperFilter:
         stack = hyper_filter(signal, layout)
         assert isinstance(stack, FilteredStack) and set(vars(stack)) == {"signal", "bank", "rows"}
         assert stack.signal is signal and stack.bank is filterbank._kernel_bank(layout, 100.0)
-        assert pattern_rows(stack) is stack.rows
         assert stack.channel_meta == [m for m, _ in stack.bank]
         assert (stack.fs, stack.label, stack.n_channels, stack.n_samples) == (100.0, Label.WAKEFUL, 8, 2400)
 
@@ -288,7 +286,7 @@ def default_signals(n_per_class):
 def serial_rows(monkeypatch, signal, layout) -> bytes:
     with monkeypatch.context() as m:
         m.setattr(filterbank, "_helper_pool", lambda pid: (None, 0))
-        return pattern_rows(hyper_filter(signal, layout)).tobytes()
+        return hyper_filter(signal, layout).rows.tobytes()
 
 
 class InlineExecutor:
@@ -312,11 +310,11 @@ class TestHelperThreads:
     def test_stack_bytes_equal_with_and_without_helpers(self, monkeypatch, layout):
         signals = default_signals(1)
         serial = [serial_rows(monkeypatch, s, layout) for s in signals]
-        assert [pattern_rows(hyper_filter(s, layout)).tobytes() for s in signals] == serial
+        assert [hyper_filter(s, layout).rows.tobytes() for s in signals] == serial
         # three helpers, whatever this machine's CPU count
         with ThreadPoolExecutor(3) as pool:
             monkeypatch.setattr(filterbank, "_helper_pool", lambda pid: (pool, 3))
-            assert [pattern_rows(hyper_filter(s, layout)).tobytes() for s in signals] == serial
+            assert [hyper_filter(s, layout).rows.tobytes() for s in signals] == serial
 
     def test_helpers_are_one_fewer_than_the_usable_cpus(self, monkeypatch):
         for cpus, helpers in [(8, 7), (2, 1), (1, 0)]:
@@ -346,7 +344,7 @@ class TestHelperThreads:
         serial = serial_rows(monkeypatch, signal, layout)
         pool = InlineExecutor()
         monkeypatch.setattr(filterbank, "_helper_pool", lambda pid: (pool, 7))
-        assert pattern_rows(hyper_filter(signal, layout)).tobytes() == serial
+        assert hyper_filter(signal, layout).rows.tobytes() == serial
         assert pool.calls == submitted
 
     # one band per layer, 1.0, 0.6 and 0.8 Hz wide: 661, 1,101 and 827 taps,
@@ -381,7 +379,7 @@ class TestHelperThreads:
         assert max(taps[c] for c in shares[0]) == max(taps)
         loads = [sum(taps[c] for c in share) for share in shares]
         assert max(loads) - min(loads) <= max(taps)
-        assert pattern_rows(stack).tobytes() == serial
+        assert stack.rows.tobytes() == serial
 
     def test_a_helper_share_error_is_raised_to_the_caller(self, monkeypatch):
         signal = default_signals(1)[0]
@@ -415,7 +413,7 @@ class TestHelperThreads:
             try:
                 for i in range(3):
                     layout = (k + i) % 2
-                    results.append((layout, pattern_rows(hyper_filter(signal, HELPER_LAYOUTS[layout])).tobytes()))
+                    results.append((layout, hyper_filter(signal, HELPER_LAYOUTS[layout]).rows.tobytes()))
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
 
@@ -458,7 +456,7 @@ class TestHelperThreads:
             if pid == 0:  # the child: report the digest, never return into pytest
                 try:
                     os.close(read_end)
-                    digest = hashlib.sha256(pattern_rows(hyper_filter(sig, layout)).tobytes()).hexdigest()
+                    digest = hashlib.sha256(hyper_filter(sig, layout).rows.tobytes()).hexdigest()
                     os.write(write_end, digest.encode())
                 finally:
                     os._exit(0)
@@ -510,7 +508,7 @@ class TestKeptRows:
         expected = full_path_rows(signal, layout)
         with ThreadPoolExecutor(max(n_helpers, 1)) as pool:
             monkeypatch.setattr(filterbank, "_helper_pool", lambda pid: (pool if n_helpers else None, n_helpers))
-            rows = pattern_rows(hyper_filter(signal, layout))
+            rows = hyper_filter(signal, layout).rows
         assert rows.flags.c_contiguous and rows.dtype == np.float64
         assert rows.shape == expected.shape and rows.shape[0] >= 1
         assert rows.tobytes() == expected.tobytes()
@@ -537,7 +535,7 @@ class TestKeptRows:
         signals = [truncated(long[1], n_samples), long[0], truncated(long[0], n_samples)]
         with ThreadPoolExecutor(1) as pool:
             monkeypatch.setattr(filterbank, "_helper_pool", lambda pid: (pool if n_helpers else None, n_helpers))
-            rows = [pattern_rows(hyper_filter(s, layout))[::stride] for s in signals]
+            rows = [hyper_filter(s, layout).rows[::stride] for s in signals]
             dataset = build_dataset(signals, layout, stride)
         assert stride < 1000 or [r.shape[0] for r in rows] == [1, 1, 1]
         assert dataset.values.tobytes() == np.concatenate(rows).tobytes()
@@ -576,14 +574,14 @@ class TestKeptRows:
 
         monkeypatch.setattr(filterbank, "_convolve", counted)
         stack = hyper_filter(signal, layout)
-        rows = pattern_rows(stack)
+        rows = stack.rows
         assert (stack.n_samples, stack.n_channels, stack.default_margin) == (2400, 33, 807)
         assert calls == []
         assert stack.channels.tobytes() == full.tobytes()
         assert len(calls) == 33
         # computed once, and the rows are still the full path's
         assert stack.channels is stack.channels and len(calls) == 33
-        assert pattern_rows(stack).tobytes() == rows.tobytes() == full_path_rows(signal, layout).tobytes()
+        assert stack.rows.tobytes() == rows.tobytes() == full_path_rows(signal, layout).tobytes()
 
 
 class TestPatternSignal:
@@ -651,19 +649,19 @@ class TestPatternSignals(PatternExtractionCases):
         t = np.arange(2400) / 100.0
         signal = PpgSignal(np.finfo(float).max * np.sign(np.sin(2 * math.pi * 3 * t)), 100.0)
         stack = hyper_filter(signal, HyperFilterConfig(((1.0, 10.0),), bands_per_layer=1))
-        rows = pattern_rows(stack)
+        rows = stack.rows
         assert np.isposinf(rows).any() and np.isneginf(rows).any()
         with pytest.raises(ValueError, match="^pattern values must be finite$"):
             pattern_signals(stack)
 
 
-class TestPatternRows(PatternExtractionCases):
-    extract = staticmethod(pattern_rows)
+class TestStackRows(PatternExtractionCases):
+    extract = staticmethod(lambda stack: stack.rows)
 
     def test_c_contiguous_and_bitwise_equal_to_pattern_signals(self):
         signal = PpgSignal(np.random.default_rng(4).normal(size=1500), 100.0, Label.DROWSY)
         stack = hyper_filter(signal, HyperFilterConfig(((1.0, 10.0), (2.0, 6.0)), bands_per_layer=4))
-        rows = pattern_rows(stack)
+        rows = stack.rows
         assert rows.flags.c_contiguous
         expected = np.stack([p.values for p in pattern_signals(stack)])
         assert rows.shape == expected.shape
@@ -746,7 +744,7 @@ class TestBuildDataset:
         short = [PpgSignal(s.samples[:2000], s.fs, s.label) for s in long]
         signals = [long[0], short[1], short[0], long[1]]
         bands = default_config().bands
-        rows = [pattern_rows(hyper_filter(s, bands))[::stride] for s in signals]
+        rows = [hyper_filter(s, bands).rows[::stride] for s in signals]
         dataset = build_dataset(signals, bands, stride)
         assert dataset.values.shape == (sum(r.shape[0] for r in rows), 33)
         assert dataset.values.tobytes() == np.concatenate(rows).tobytes()
@@ -774,3 +772,24 @@ class TestBuildDataset:
         with pytest.raises(ValueError) as info:
             build_dataset(signals, HyperFilterConfig(((1.0, 10.0),), bands_per_layer=3), stride)
         assert str(info.value) == f"stride must be >= 1, got {stride}"
+
+    @pytest.mark.parametrize("stride", [1, 8])
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            (lambda s: PpgSignal(s.samples, s.fs, None), ValueError, "^signal 3 is unlabeled"),
+            (lambda s: PpgSignal(s.samples[:1000], s.fs, s.label), SignalTooShortError, "at least 1615 samples"),
+            (lambda s: PpgSignal(s.samples, 15.0, s.label), ValueError, "fs/2"),
+        ],
+        ids=["unlabeled", "too-short", "15-hz"],
+    )
+    def test_every_signal_is_checked_before_any_is_filtered(self, monkeypatch, bad, error, message, stride):
+        # the last of four signals is bad: the three before it are not filtered either
+        *good, last = default_signals(2)
+        signals = [*good, bad(last)]
+        calls = []
+        kept_rows = filterbank._kept_rows
+        monkeypatch.setattr(filterbank, "_kept_rows", lambda *args: calls.append(args[-1]) or kept_rows(*args))
+        with pytest.raises(error, match=message):
+            build_dataset(signals, default_config().bands, stride)
+        assert calls == []

@@ -13,7 +13,6 @@ from drowsemon.filterbank import (
     HyperFilterConfig,
     PatternDataset,
     hyper_filter,
-    pattern_rows,
     pattern_signals,
 )
 from drowsemon.persist import (
@@ -554,7 +553,7 @@ class TestCliCommands:
         assert len(windows) == 2
         for w in windows:
             chunk = sig.samples[round(w["start_s"] * sig.fs) : round(w["end_s"] * sig.fs)]
-            patterns = pattern_rows(hyper_filter(PpgSignal(chunk, sig.fs, sig.label), bands))
+            patterns = hyper_filter(PpgSignal(chunk, sig.fs, sig.label), bands).rows
             assert patterns.shape[1] == n_channels
             verdict = assess_window(model, patterns)
             assert (w["score"], w["label"], w["n_patterns"]) == (
